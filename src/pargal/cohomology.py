@@ -196,15 +196,6 @@ def coboundary(action: PartialAction, f: Cochain) -> Cochain:
 
 # ---------------------------------------------------------------- engines
 
-@dataclass(frozen=True)
-class CochainGroupView:
-    """Zn or Bn as raw data: value tables plus the order."""
-    n: int
-    order: int
-    tables: tuple | None   # sorted value tuples when materialized
-    engine: str
-
-
 def _position_data(action: PartialAction, n: int):
     _, unit_lists = _machinery(action)
     pos = positions(action, n)
@@ -606,28 +597,6 @@ def _materialize_image(action, n):
         return sorted(_image_scan(action, n))
     except BudgetError:
         return None
-
-
-def cocycles(action: PartialAction, n: int,
-             engine: str = "auto") -> CochainGroupView:
-    grp = cohomology_group(action, n, engine=engine)
-    tables = None
-    if grp.engine == "enumerate":
-        tables = tuple(sorted(_kernel_dfs(action, n)))
-    return CochainGroupView(n=n, order=grp.z_order, tables=tables,
-                            engine=grp.engine)
-
-
-def coboundaries(action: PartialAction, n: int,
-                 engine: str = "auto") -> CochainGroupView:
-    grp = cohomology_group(action, n, engine=engine)
-    tables = None
-    if grp.engine == "enumerate" and n >= 1:
-        tables = tuple(sorted(_image_scan(action, n)))
-    elif n == 0:
-        tables = ((action.ring.one,),)
-    return CochainGroupView(n=n, order=grp.b_order, tables=tables,
-                            engine=grp.engine)
 
 
 def default_engine(action: PartialAction, n: int) -> str:

@@ -7,8 +7,13 @@ them together.
 
 Elements are per-component coordinate tuples: entry g holds an element of
 D_g, standing for a_g·delta_g.  The monomial basis is the disjoint union
-of the D_g's, so products of basis monomials are again basis monomials
-and the structure constants form an index table rather than a matrix.
+of the D_g's in component order.  Since 0 lies in every D_g, the product
+of two basis monomials is again a basis monomial, so each algebra is one
+N x N index table: table[i, j] is the basis index of monomial i times
+monomial j.  Every check (associativity, unit, centrality of R^alpha,
+multiplicativity of an isomorphism, the Theta factor-set identities) is
+an identity between numpy gathers on such tables, evaluated one first
+index or slot element at a time.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from math import prod
 
 import numpy as np
 
-from .cohomology import Cochain, coboundary, cochain_mul, corner_idem, identity_cochain
+from .cohomology import Cochain, coboundary, cochain_mul, identity_cochain
 from .errors import BudgetError, DefectError, PreconditionError
 from .partial_action import PartialAction, _additive_generators, invariant_subring
 
@@ -64,6 +69,55 @@ def theta_bimodule(action: PartialAction, g: int) -> TwistedBimodule:
     return TwistedBimodule(action, g)
 
 
+@dataclass(frozen=True, eq=False)
+class MonomialBasis:
+    """The monomials d·delta_g, d in D_g, in component order: monomial i is
+    coeff[i]·delta_{grade[i]}, and pos[g, d] is its index (-1 when d is not
+    in D_g)."""
+    grade: np.ndarray
+    coeff: np.ndarray
+    pos: np.ndarray
+
+    def index(self, g: int, d: int) -> int:
+        i = int(self.pos[g, d]) if 0 <= d < self.pos.shape[1] else -1
+        if i < 0:
+            raise PreconditionError(f"component {g} value {d} outside D_g")
+        return i
+
+    def name(self, i: int) -> str:
+        return f"({int(self.grade[i])},{int(self.coeff[i])})"
+
+
+def _monomial_basis(action: PartialAction) -> MonomialBasis:
+    members = [action.domain_members(g) for g in range(action.group.order)]
+    grade = np.repeat(np.arange(len(members)), [len(m) for m in members])
+    coeff = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64)
+    pos = np.full((len(members), action.ring.order), -1, dtype=np.int64)
+    pos[grade, coeff] = np.arange(len(coeff))
+    return MonomialBasis(grade, coeff, pos)
+
+
+def _theta_values(action: PartialAction, basis: MonomialBasis) -> np.ndarray:
+    """values[i, j] = a·alpha_g(b·1_{g^-1}) for monomials i = a·delta_g and
+    j = b·delta_h: the Theta factor set, and the coefficient of their
+    product in R*G."""
+    twisted = action.alpha_hat[basis.grade[:, None], basis.coeff[None, :]]
+    return action.ring.mul[basis.coeff[:, None], twisted]
+
+
+def _index_table(action: PartialAction, basis: MonomialBasis,
+                 values: np.ndarray) -> np.ndarray:
+    """table[i, j] = basis index of values[i, j]·delta_{gh}."""
+    grade = basis.grade
+    table = basis.pos[action.group.table[grade[:, None], grade[None, :]], values]
+    outside = np.argwhere(table < 0)
+    if outside.size:
+        i, j = outside[0]
+        raise DefectError(f"product of monomials {basis.name(i)} and "
+                          f"{basis.name(j)} leaves D_gh")
+    return table
+
+
 @dataclass(frozen=True)
 class AssocReport:
     triples: int
@@ -79,20 +133,13 @@ class GradedAlgebra:
     assoc: AssocReport
     central_checked: bool
     tag: str
-    # when set, monomial products read this table instead of the alpha
-    # formula: mono_table[(g, h)][i, j] = coefficient of the product of the
-    # i-th basis element of D_g with the j-th of D_h
-    mono_table: dict | None = None
+    basis: MonomialBasis
+    table: np.ndarray   # table[i, j] = basis index of monomial i times j
 
     @cached_property
     def component_members(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(int(d) for d in self.action.domain_members(g))
                      for g in range(self.action.group.order))
-
-    @cached_property
-    def _positions(self) -> tuple[dict, ...]:
-        return tuple({d: i for i, d in enumerate(mem)}
-                     for mem in self.component_members)
 
     @property
     def order(self) -> int:
@@ -107,8 +154,7 @@ class GradedAlgebra:
         if len(out) != self.action.group.order:
             raise PreconditionError("wrong number of components")
         for g, c in enumerate(out):
-            if c not in self._positions[g]:
-                raise PreconditionError(f"component {g} value {c} outside D_g")
+            self.basis.index(g, c)   # raises when c is not in D_g
         return out
 
     def monomial(self, g: int, d: int) -> tuple[int, ...]:
@@ -118,17 +164,8 @@ class GradedAlgebra:
 
     def mono_mul(self, g: int, a: int, h: int, b: int) -> tuple[int, int]:
         """(a·delta_g)(b·delta_h) = coeff·delta_{gh}."""
-        act = self.action
-        R = act.ring
-        k = act.group.op(g, h)
-        if self.mono_table is not None:
-            coeff = int(self.mono_table[(g, h)][self._positions[g][a],
-                                                self._positions[h][b]])
-            return k, coeff
-        coeff = int(R.mul[a, act.alpha_hat[g][b]])
-        if self.twist is not None:
-            coeff = int(R.mul[coeff, self.twist[(g, h)]])
-        return k, coeff
+        k = self.table[self.basis.index(g, a), self.basis.index(h, b)]
+        return int(self.basis.grade[k]), int(self.basis.coeff[k])
 
     def mul(self, u, v) -> tuple[int, ...]:
         R = self.action.ring
@@ -163,87 +200,79 @@ class GradedAlgebra:
             yield tuple(int(c) for c in combo)
 
     def monomials(self):
-        for g, mem in enumerate(self.component_members):
-            for d in mem:
-                yield g, d
+        yield from zip(self.basis.grade.tolist(), self.basis.coeff.tolist())
 
     def structure_text(self) -> str:
         """Plain-text structure constants: basis legend, then one line per
-        basis index pair with the product's basis index (monomial products
-        of monomials are monomials)."""
+        basis index pair with the product's basis index, 0 for a zero
+        product."""
         names = self.action.ring.names
-        basis = list(self.monomials())
-        index = {}
         lines = [f"# algebra {self.tag}: order {self.order}, "
-                 f"{len(basis)} basis monomials"]
-        for i, (g, d) in enumerate(basis):
-            index[(g, d)] = i
-            lines.append(f"basis {i}: {names[d]} delta_{self.action.group.names[g]}")
-        zero = self.action.ring.zero
-        for i, (g, a) in enumerate(basis):
-            for j, (h, b) in enumerate(basis):
-                k, coeff = self.mono_mul(g, a, h, b)
-                tgt = "0" if coeff == zero else str(index[(k, coeff)])
-                lines.append(f"{i} {j} -> {tgt}")
+                 f"{len(self.table)} basis monomials"]
+        lines += [f"basis {i}: {names[d]} delta_{self.action.group.names[g]}"
+                  for i, (g, d) in enumerate(self.monomials())]
+        shown = np.where(self.basis.coeff[self.table] == self.action.ring.zero,
+                         0, self.table)
+        lines += [f"{i} {j} -> {t}" for i, row in enumerate(shown.tolist())
+                  for j, t in enumerate(row)]
         return "\n".join(lines) + "\n"
 
 
-def _check_associativity(alg: GradedAlgebra) -> AssocReport:
-    monos = list(alg.monomials())
-    n = len(monos)
-    total = n ** 3
-    if total <= ASSOC_TRIPLE_BUDGET:
-        triples = itertools.product(monos, monos, monos)
-        count, sampled = total, False
-    else:
-        rng = random.Random(0)
-        triples = ((monos[rng.randrange(n)], monos[rng.randrange(n)],
-                    monos[rng.randrange(n)]) for _ in range(SAMPLED_TRIPLES))
-        count, sampled = SAMPLED_TRIPLES, True
-    for (g, a), (h, b), (l, c) in triples:
-        k1, ab = alg.mono_mul(g, a, h, b)
-        left = alg.mono_mul(k1, ab, l, c)
-        k2, bc = alg.mono_mul(h, b, l, c)
-        right = alg.mono_mul(g, a, k2, bc)
-        if left != right:
-            raise DefectError(
-                f"associativity fails on monomials ({g},{a}),({h},{b}),({l},{c})")
-    return AssocReport(count, sampled, True)
+def _check_associativity(basis: MonomialBasis, table: np.ndarray) -> AssocReport:
+    """(m_i m_j) m_k = m_i (m_j m_k) on every triple, one first index i at
+    a time, when N^3 fits the budget; else on a seeded sample of triples."""
+    n = len(table)
+    if n ** 3 <= ASSOC_TRIPLE_BUDGET:
+        for i in range(n):
+            bad = table[table[i]] != table[i][table]
+            if bad.any():
+                _assoc_defect(basis, i, *np.argwhere(bad)[0])
+        return AssocReport(n ** 3, False, True)
+    rng = random.Random(0)
+    i, j, k = np.array([rng.randrange(n) for _ in range(3 * SAMPLED_TRIPLES)]
+                       ).reshape(-1, 3).T
+    bad = np.flatnonzero(table[table[i, j], k] != table[i, table[j, k]])
+    if bad.size:
+        t = bad[0]
+        _assoc_defect(basis, i[t], j[t], k[t])
+    return AssocReport(SAMPLED_TRIPLES, True, True)
 
 
-def _check_unit(alg: GradedAlgebra):
-    u = alg.unit
-    for g, d in alg.monomials():
-        m = alg.monomial(g, d)
-        if alg.mul(u, m) != m or alg.mul(m, u) != m:
-            raise DefectError(f"unit fails on monomial ({g},{d})")
+def _assoc_defect(basis: MonomialBasis, *triple):
+    raise DefectError("associativity fails on monomials "
+                      + ",".join(basis.name(x) for x in triple))
 
 
-def _check_invariants_central(alg: GradedAlgebra) -> bool:
-    S = invariant_subring(alg.action)
-    for s in S.members:
-        es = alg.embed_ring(int(s))
-        for g, d in alg.monomials():
-            m = alg.monomial(g, d)
-            if alg.mul(es, m) != alg.mul(m, es):
-                raise DefectError(f"invariant {s} not central against ({g},{d})")
-    return True
+def _algebra(action: PartialAction, twist: Cochain | None, unit_coeff: int,
+             tag: str, basis: MonomialBasis, table: np.ndarray) -> GradedAlgebra:
+    """Check associativity, the unit unit_coeff·delta_1 and centrality of
+    R^alpha on the table, then wrap it."""
+    report = _check_associativity(basis, table)
+    R = action.ring
+    ident = action.group.identity
+    every = np.arange(len(table))
+    u = basis.pos[ident, unit_coeff]
+    bad = np.flatnonzero((table[u] != every) | (table[:, u] != every))
+    if bad.size:
+        raise DefectError(f"unit fails on monomial {basis.name(bad[0])}")
+    invariants = np.asarray(invariant_subring(action).members, dtype=np.int64)
+    e = basis.pos[ident, R.mul[invariants, unit_coeff]]
+    bad = np.argwhere(table[e] != table[:, e].T)
+    if bad.size:
+        s, m = bad[0]
+        raise DefectError(f"invariant {invariants[s]} not central against "
+                          f"{basis.name(m)}")
+    unit = [R.zero] * action.group.order
+    unit[ident] = unit_coeff
+    return GradedAlgebra(action, twist, tuple(unit), report, True, tag,
+                         basis, table)
 
 
 def skew_group_ring(action: PartialAction) -> GradedAlgebra:
     """R*G with (a·delta_g)(b·delta_h) = a·alpha_g(b·1_{g^-1})·delta_{gh}."""
-    ident = action.group.identity
-    unit = [action.ring.zero] * action.group.order
-    unit[ident] = action.ring.one
-    alg = GradedAlgebra(action=action, twist=None, unit=tuple(unit),
-                        assoc=AssocReport(0, False, False),
-                        central_checked=False, tag="skew")
-    report = _check_associativity(alg)
-    alg = GradedAlgebra(action=action, twist=None, unit=tuple(unit),
-                        assoc=report, central_checked=True, tag="skew")
-    _check_unit(alg)
-    _check_invariants_central(alg)
-    return alg
+    basis = _monomial_basis(action)
+    table = _index_table(action, basis, _theta_values(action, basis))
+    return _algebra(action, None, action.ring.one, "skew", basis, table)
 
 
 def _z2_witness(action: PartialAction, f: Cochain):
@@ -260,7 +289,8 @@ def _z2_witness(action: PartialAction, f: Cochain):
 
 
 def crossed_product(action: PartialAction, f: Cochain) -> GradedAlgebra:
-    """R*_{alpha,f}G; identity element f(1,1)^{-1}·delta_1."""
+    """R*_{alpha,f}G with (a·delta_g)(b·delta_h) =
+    a·alpha_g(b·1_{g^-1})·f(g,h)·delta_{gh}; identity f(1,1)^{-1}·delta_1."""
     if f.n != 2:
         raise PreconditionError("twist must be a 2-cochain")
     witness = _z2_witness(action, f)
@@ -270,19 +300,12 @@ def crossed_product(action: PartialAction, f: Cochain) -> GradedAlgebra:
     ident = action.group.identity
     f11 = f[(ident, ident)]
     # f(1,1) is a unit of all of R: its corner is 1_1·1_1 = 1
-    inv = next(u for u in range(R.order)
-               if int(R.mul[f11, u]) == R.one and int(R.mul[u, f11]) == R.one)
-    unit = [R.zero] * action.group.order
-    unit[ident] = inv
-    alg = GradedAlgebra(action=action, twist=f, unit=tuple(unit),
-                        assoc=AssocReport(0, False, False),
-                        central_checked=False, tag="crossed")
-    report = _check_associativity(alg)
-    alg = GradedAlgebra(action=action, twist=f, unit=tuple(unit),
-                        assoc=report, central_checked=True, tag="crossed")
-    _check_unit(alg)
-    _check_invariants_central(alg)
-    return alg
+    inv = int(np.flatnonzero((R.mul[f11] == R.one) & (R.mul[:, f11] == R.one))[0])
+    basis = _monomial_basis(action)
+    grade = basis.grade
+    twist = f.values.reshape(action.group.order, -1)[grade[:, None], grade[None, :]]
+    table = _index_table(action, basis, R.mul[_theta_values(action, basis), twist])
+    return _algebra(action, f, inv, "crossed", basis, table)
 
 
 # ------------------------------------------------------------- factor set
@@ -290,108 +313,84 @@ def crossed_product(action: PartialAction, f: Cochain) -> GradedAlgebra:
 @dataclass(frozen=True, eq=False)
 class ThetaFactorSet:
     """f^Theta_{g,h}: Theta(g) x Theta(h) -> Theta(gh), (u,v) ->
-    u·alpha_g(v·1_{g^-1}); tables indexed by member positions."""
+    u·alpha_g(v·1_{g^-1}); values[i, j] for basis monomials i = u·delta_g
+    and j = v·delta_h."""
     action: PartialAction
-    tables: dict
+    basis: MonomialBasis
+    values: np.ndarray
     bilinear_checked: bool
     pentagon_checked: bool
     exhaustive: bool   # False: checks ran on additive generators per slot
 
-    @cached_property
-    def _pos(self) -> tuple[dict, ...]:
-        return tuple({int(d): i for i, d in enumerate(self.action.domain_members(g))}
-                     for g in range(self.action.group.order))
-
     def __call__(self, g: int, h: int, u: int, v: int) -> int:
-        return int(self.tables[(g, h)][self._pos[g][u], self._pos[h][v]])
+        return int(self.values[self.basis.index(g, u), self.basis.index(h, v)])
 
 
 def theta_factor_set(action: PartialAction) -> ThetaFactorSet:
-    """Build the factor-set tables, then check balance, outer linearity and
-    the pentagon.  All three identities are additive in every element slot,
-    so when full enumeration exceeds the budget the slots range over
-    additive generators instead; the report says which ran."""
+    """Build the factor-set table, then check the 1_g corner, balance,
+    outer linearity and the pentagon, one first-slot element u at a time.
+    All identities are additive in every element slot, so when full
+    enumeration exceeds the budget the slots range over additive
+    generators instead; the report says which ran."""
     R, G = action.ring, action.group
     nG = G.order
-    members = [tuple(int(d) for d in action.domain_members(g)) for g in range(nG)]
-    tables = {}
+    basis = _monomial_basis(action)
+    values = _theta_values(action, basis)
+    side = len(values)
+    exhaustive = max(side * side * R.order, side ** 3) <= ASSOC_TRIPLE_BUDGET
+    slot = [basis.coeff[basis.grade == g] for g in range(nG)]
+    r = np.arange(R.order)
+    if not exhaustive:
+        slot = [np.asarray(_additive_generators(R, m), dtype=np.int64)
+                for m in slot]
+        r = np.asarray(_additive_generators(R, r), dtype=np.int64)
+    r = r[None, :]
     for g in range(nG):
-        for h in range(nG):
-            mh = np.asarray(members[h], dtype=np.int64)
-            t = np.empty((len(members[g]), len(mh)), dtype=np.int64)
-            for i, u in enumerate(members[g]):
-                t[i] = R.mul[u, action.alpha_hat[g][mh]]
-            tables[(g, h)] = t
-    fs = ThetaFactorSet(action, tables, False, False, False)
+        TwistedBimodule(action, g)   # checks the bimodule compatibility
+    ahat, pos = action.alpha_hat, basis.pos
 
-    side = sum(len(m) for m in members)
-    exhaustive = side * side * R.order <= ASSOC_TRIPLE_BUDGET \
-        and side ** 3 <= ASSOC_TRIPLE_BUDGET
-    if exhaustive:
-        slot = members
-        ring_slot = tuple(range(R.order))
-    else:
-        slot = [tuple(int(x) for x in
-                      _additive_generators(R, np.asarray(m, dtype=np.int64)))
-                for m in members]
-        ring_slot = tuple(int(x) for x in
-                          _additive_generators(R, np.arange(R.order)))
+    def fs(g, h, u, v):
+        return values[pos[g, u], pos[h, v]]
 
-    mods = [TwistedBimodule(action, g) for g in range(nG)]
-    for g in range(nG):
-        for h in range(nG):
-            gh = G.op(g, h)
-            for u in slot[g]:
-                for v in slot[h]:
-                    val = fs(g, h, u, v)
-                    if int(R.mul[val, action.one(g)]) != val:
-                        raise DefectError("factor set leaves the 1_g corner")
-                    for r in ring_slot:
-                        if fs(g, h, mods[g].right(u, r), v) != \
-                           fs(g, h, u, mods[h].left(r, v)):
-                            raise DefectError(
-                                f"balance fails at g={g},h={h},u={u},v={v},r={r}")
-                        if fs(g, h, mods[g].left(r, u), v) != \
-                           mods[gh].left(r, val):
-                            raise DefectError("left linearity fails")
-                        if fs(g, h, u, mods[h].right(v, r)) != \
-                           mods[gh].right(val, r):
-                            raise DefectError("right linearity fails")
-    fs = ThetaFactorSet(action, tables, True, False, exhaustive)
+    for g, h in itertools.product(range(nG), repeat=2):
+        gh = G.op(g, h)
+        v = slot[h][:, None]
+        for u in slot[g].tolist():
+            val = fs(g, h, u, v)
+            corner = (R.mul[val, action.one(g)] != val)[:, 0]
+            bad = np.stack([   # balance, left linearity, right linearity
+                fs(g, h, R.mul[u, ahat[g][r]], v) != fs(g, h, u, R.mul[r, v]),
+                fs(g, h, R.mul[r, u], v) != R.mul[r, val],
+                fs(g, h, u, R.mul[v, ahat[h][r]]) != R.mul[val, ahat[gh][r]]])
+            hit = np.flatnonzero(corner | bad.any(axis=(0, 2)))
+            if not hit.size:
+                continue
+            if corner[hit[0]]:
+                raise DefectError("factor set leaves the 1_g corner")
+            ri, kind = np.argwhere(bad[:, hit[0], :].T)[0]
+            if kind == 0:
+                raise DefectError(f"balance fails at g={g},h={h},u={u},"
+                                  f"v={v[hit[0], 0]},r={r[0, ri]}")
+            raise DefectError("left linearity fails" if kind == 1
+                              else "right linearity fails")
 
-    for g in range(nG):
-        for h in range(nG):
-            for l in range(nG):
-                gh, hl = G.op(g, h), G.op(h, l)
-                for u in slot[g]:
-                    for v in slot[h]:
-                        for w in slot[l]:
-                            left = fs(gh, l, fs(g, h, u, v), w)
-                            right = fs(g, hl, u, fs(h, l, v, w))
-                            if left != right:
-                                raise DefectError(
-                                    f"pentagon fails at ({g},{h},{l})")
-    return ThetaFactorSet(action, tables, True, True, exhaustive)
+    for g, h, l in itertools.product(range(nG), repeat=3):
+        gh, hl = G.op(g, h), G.op(h, l)
+        v, w = slot[h][:, None], slot[l][None, :]
+        vw = fs(h, l, v, w)
+        for u in slot[g].tolist():
+            if (fs(gh, l, fs(g, h, u, v), w) != fs(g, hl, u, vw)).any():
+                raise DefectError(f"pentagon fails at ({g},{h},{l})")
+    return ThetaFactorSet(action, basis, values, True, True, exhaustive)
 
 
 def delta_theta(action: PartialAction) -> GradedAlgebra:
     """Delta(Theta) = direct sum of the Theta(g) with multiplication given
     by the Theta factor set; unity 1·delta_1."""
     fs = theta_factor_set(action)
-    ident = action.group.identity
-    unit = [action.ring.zero] * action.group.order
-    unit[ident] = action.ring.one
-    alg = GradedAlgebra(action=action, twist=None, unit=tuple(unit),
-                        assoc=AssocReport(0, False, False),
-                        central_checked=False, tag="Delta(Theta)",
-                        mono_table=fs.tables)
-    report = _check_associativity(alg)
-    alg = GradedAlgebra(action=action, twist=None, unit=tuple(unit),
-                        assoc=report, central_checked=True, tag="Delta(Theta)",
-                        mono_table=fs.tables)
-    _check_unit(alg)
-    _check_invariants_central(alg)
-    return alg
+    table = _index_table(action, fs.basis, fs.values)
+    return _algebra(action, None, action.ring.one, "Delta(Theta)", fs.basis,
+                    table)
 
 
 # ----------------------------------------------------------- isomorphisms
@@ -415,25 +414,25 @@ def _verify_iso(source: GradedAlgebra, target: GradedAlgebra,
                 scale) -> GradedIso:
     action = source.action
     R = action.ring
-    iso = GradedIso(source, target, tuple(scale), False, False, False)
     for g, mem in enumerate(source.component_members):
         imgs = {int(R.mul[d, scale[g]]) for d in mem}
         if imgs != set(target.component_members[g]):
             raise PreconditionError(f"component {g} map is not a bijection")
-    monos = list(source.monomials())
-    for (g, a), (h, b) in itertools.product(monos, monos):
-        lhs = iso.forward(source.mul(source.monomial(g, a), source.monomial(h, b)))
-        rhs = target.mul(iso.forward(source.monomial(g, a)),
-                         iso.forward(source.monomial(h, b)))
-        if lhs != rhs:
-            raise PreconditionError(
-                f"map not multiplicative on ({g},{a})x({h},{b})")
+    basis, grade = source.basis, source.basis.grade
+    # image[i]: target index of the image of source monomial i
+    image = target.basis.pos[grade, R.mul[basis.coeff, np.asarray(scale)[grade]]]
+    bad = np.argwhere(image[source.table]
+                      != target.table[image[:, None], image[None, :]])
+    if bad.size:
+        i, j = bad[0]
+        raise PreconditionError(
+            f"map not multiplicative on {basis.name(i)}x{basis.name(j)}")
+    iso = GradedIso(source, target, tuple(scale), True, True, True)
     S = invariant_subring(action)
-    fixes = all(iso.forward(source.embed_ring(int(s))) == target.embed_ring(int(s))
-                for s in S.members)
-    if not fixes:
+    if any(iso.forward(source.embed_ring(int(s))) != target.embed_ring(int(s))
+           for s in S.members):
         raise DefectError("map moves the invariant subring")
-    return GradedIso(source, target, tuple(scale), True, True, True)
+    return iso
 
 
 def coiso_map(action: PartialAction, f: Cochain, f2: Cochain,

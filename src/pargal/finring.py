@@ -190,24 +190,31 @@ def subring_from_members(ambient: FiniteRing, members) -> Subring:
     if ambient.zero not in members or ambient.one not in members:
         raise ValueError("subring must contain 0 and 1")
     embed = np.array(members, dtype=np.int64)
-    loc = {a: i for i, a in enumerate(members)}
-    sub = np.array([[a for a in row] for row in ambient.add[np.ix_(embed, embed)]])
-    msub = ambient.mul[np.ix_(embed, embed)]
-    for tbl in (sub, msub):
-        for v in np.unique(tbl):
-            if int(v) not in loc:
-                raise ValueError("member set not closed under ring operations")
     to_loc = np.full(ambient.order, -1, dtype=np.int64)
     to_loc[embed] = np.arange(len(members))
+    add = to_loc[ambient.add[np.ix_(embed, embed)]]
+    mul = to_loc[ambient.mul[np.ix_(embed, embed)]]
+    if (add < 0).any() or (mul < 0).any():
+        raise ValueError("member set not closed under ring operations")
     ring = FiniteRing(
-        add=to_loc[ambient.add[np.ix_(embed, embed)]],
-        mul=to_loc[ambient.mul[np.ix_(embed, embed)]],
-        zero=loc[ambient.zero],
-        one=loc[ambient.one],
+        add=add,
+        mul=mul,
+        zero=int(to_loc[ambient.zero]),
+        one=int(to_loc[ambient.one]),
         names=tuple(ambient.names[a] for a in members),
         tag=f"subring({ambient.tag};{len(members)})",
     )
     return Subring(ambient=ambient, members=members, ring=ring, embed=embed)
+
+
+def _additive_span(ring: FiniteRing, seed) -> np.ndarray:
+    """Sorted additive subgroup generated by seed (an iterable of elements)."""
+    cur = np.unique(np.asarray(sorted(set(seed) | {ring.zero}), dtype=np.int64))
+    while True:
+        nxt = np.unique(ring.add[np.ix_(cur, cur)])
+        if nxt.shape == cur.shape:
+            return cur
+        cur = nxt
 
 
 def subring_generated(ring: FiniteRing, seeds=()) -> Subring:

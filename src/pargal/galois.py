@@ -22,7 +22,7 @@ import numpy as np
 
 from . import intmat
 from .errors import DefectError, PreconditionError
-from .finring import FiniteRing, Subring, primitive_idempotents
+from .finring import FiniteRing, Subring, _additive_span, primitive_idempotents
 from .groups import FinAbPresentation, abelian_structure
 from .partial_action import PartialAction, invariant_subring
 
@@ -272,20 +272,11 @@ def rho_monomial(action: PartialAction, g: int, r: int) -> np.ndarray:
     return action.ring.mul[r, action.alpha_hat[g]]
 
 
-def _span_closure(ring: FiniteRing, seed) -> np.ndarray:
-    cur = np.unique(np.asarray(sorted(set(seed) | {ring.zero}), dtype=np.int64))
-    while True:
-        nxt = np.unique(ring.add[np.ix_(cur, cur)])
-        if nxt.shape == cur.shape:
-            return cur
-        cur = nxt
-
-
 def _module_span(ring: FiniteRing, s_arr: np.ndarray, vecs) -> np.ndarray:
     seed = set()
     for b in vecs:
         seed.update(int(v) for v in ring.mul[s_arr, b])
-    return _span_closure(ring, seed)
+    return _additive_span(ring, seed)
 
 
 def _free_basis(ring: FiniteRing, s_members, rank: int):

@@ -62,9 +62,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
-
     def __repr__(self):
         return f"FiniteGroup({self.tag}, order={self.order})"
 

@@ -6,7 +6,7 @@ pivot-by-smallest reduction is plenty.
 """
 from __future__ import annotations
 
-from math import gcd, prod
+from math import prod
 
 
 def eye(n: int) -> list[list[int]]:
@@ -206,18 +206,3 @@ class RowLattice:
 
     def basis(self) -> list[list[int]]:
         return [self.pivot_rows[c] for c in sorted(self.pivot_rows)]
-
-
-def column_lattice(cols, n: int) -> RowLattice:
-    """RowLattice view of the lattice spanned by the given column vectors."""
-    lat = RowLattice(n)
-    for col in cols:
-        lat.add(col)
-    return lat
-
-
-def gcd_vec(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g

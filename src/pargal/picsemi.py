@@ -17,10 +17,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import DefectError, PreconditionError
-from .finring import FiniteRing, idempotents
+from .finring import FiniteRing, _additive_span, idempotents
 from .partial_action import PartialAction
 
 COLLAPSE_NOTE = ("PicS collapsed to the idempotent semilattice E(R): finite "
@@ -72,15 +70,6 @@ def _ideal_support(ring: FiniteRing, span) -> int:
     raise DefectError("ideal has no idempotent support")
 
 
-def _additive_ideal_span(ring: FiniteRing, seed) -> np.ndarray:
-    cur = np.unique(np.asarray(sorted(set(seed) | {ring.zero}), dtype=np.int64))
-    while True:
-        nxt = np.unique(ring.add[np.ix_(cur, cur)])
-        if nxt.shape == cur.shape:
-            return cur
-        cur = nxt
-
-
 def _tensor_support(action: PartialAction, g: int, e: int) -> int:
     """Support idempotent of (D_g)_{g^-1} (x)_R Re (x)_R (D_{g^-1})_g,
     computed by collapsing the two balanced products as additive ideal
@@ -92,11 +81,11 @@ def _tensor_support(action: PartialAction, g: int, e: int) -> int:
     dginv = [int(x) for x in action.domain_members(ginv)]
     re = [x for x in range(R.order) if int(R.mul[x, e]) == x]
     # step 1: d (x) x collapses to d·alpha_g(x·1_{g^-1}) (x) e
-    t1 = _additive_ideal_span(
+    t1 = _additive_span(
         R, (int(R.mul[d, action.alpha_hat[g][x]]) for d in dg for x in re))
     # step 2: t (x) d collapses to t·alpha_g(d·1_{g^-1}) (x) 1_{g^-1},
     # the right twist then straightens to the plain action
-    t2 = _additive_ideal_span(
+    t2 = _additive_span(
         R, (int(R.mul[int(t), action.alpha_hat[g][d]]) for t in t1 for d in dginv))
     return _ideal_support(R, t2)
 

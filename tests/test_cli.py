@@ -35,6 +35,18 @@ permutation = 0
 frobenius = 1
 """
 
+F2C6G_INI = """
+[ring]
+descriptor = GF(2)*GF(2)*GF(2)*GF(2)*GF(2)*GF(2)
+
+[group]
+descriptor = C6
+
+[action]
+kind = generator
+permutation = 1,2,3,4,5,0
+"""
+
 TABLES_BAD_INI = """
 [ring]
 descriptor = GF(2)*GF(2)
@@ -124,6 +136,17 @@ def test_delta_theta(capsys):
     assert code == 0
     assert "Delta(Theta) = M_2(GF(2)), order 16" in out
     assert "collapses to Delta(Theta)" in out
+
+
+def test_delta_theta_undecided_is_budget_not_defect(tmp_path, capsys):
+    # |R*G| = 2^36 is past the endomorphism scan budget, so whether rho is
+    # bijective stays undecided: a refusal naming the budget, not a defect
+    cfg = tmp_path / "f2c6g.ini"
+    cfg.write_text(F2C6G_INI)
+    code, _, err = run(capsys, ["delta-theta", "--config", str(cfg)])
+    assert code == 2
+    assert "budget 'endo-scan' exceeded: needs 68719476736" in err
+    assert "defect:" not in err
 
 
 def test_pics(capsys):

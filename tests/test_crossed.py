@@ -1,12 +1,15 @@
 import itertools
+import random
+import re
 
 import numpy as np
 import pytest
 
+from pargal import cli
 from pargal import cohomology as coh
 from pargal import crossed, fixtures
 from pargal.errors import DefectError, PreconditionError
-from pargal.finring import make_ring
+from pargal.finring import make_ring, subring_from_members
 from pargal.groups import cyclic_group
 from pargal.partial_action import trivial_partial_action
 
@@ -271,3 +274,172 @@ def test_kappa_trivial_group_identity():
     iso = crossed.kappa_iso(act)
     for r in range(5):
         assert iso.forward((r,)) == (r,)
+
+
+# ------------------------------------------------- table against oracles
+
+def _reference_product(act, twist, g, a, h, b):
+    """(a·delta_g)(b·delta_h) = a·alpha_g(b·1_{g^-1})·f(g,h)·delta_{gh},
+    one scalar lookup at a time; twist None is R*G."""
+    R = act.ring
+    coeff = int(R.mul[a, int(act.alpha_hat[g][b])])
+    if twist is not None:
+        coeff = int(R.mul[coeff, twist[(g, h)]])
+    return act.group.op(g, h), coeff
+
+
+def _reference_factor_set(act, g, h, u, v):
+    """f^Theta_{g,h}(u, v) = u·alpha_g(v·1_{g^-1})."""
+    return int(act.ring.mul[u, int(act.alpha_hat[g][v])])
+
+
+def _monomial_pairs(act):
+    monos = [(g, int(d)) for g in range(act.group.order)
+             for d in act.domain_members(g)]
+    return itertools.product(monos, monos)
+
+
+def _assert_table_matches(alg, twist):
+    for (g, a), (h, b) in _monomial_pairs(alg.action):
+        assert alg.mono_mul(g, a, h, b) == \
+            _reference_product(alg.action, twist, g, a, h, b)
+
+
+ORACLE_ACTIONS = ("E0", "E1", "E2", "N1", "trivial")
+
+
+@pytest.mark.parametrize("name", ORACLE_ACTIONS)
+def test_table_matches_scalar_reference(name):
+    act = trivial_partial_action(make_ring("Z6"), cyclic_group(1)) \
+        if name == "trivial" else fixtures.fixture(name)
+    _assert_table_matches(crossed.skew_group_ring(act), None)
+    ident = coh.identity_cochain(act, 2)
+    _assert_table_matches(crossed.crossed_product(act, ident), ident)
+    fs = crossed.theta_factor_set(act)
+    dt = crossed.delta_theta(act)
+    for (g, u), (h, v) in _monomial_pairs(act):
+        want = _reference_factor_set(act, g, h, u, v)
+        assert fs(g, h, u, v) == want
+        assert dt.mono_mul(g, u, h, v) == (act.group.op(g, h), want)
+
+
+def test_table_matches_scalar_reference_on_every_e2_cocycle():
+    act = fixtures.fixture("E2")
+    for table in coh._kernel_dfs(act, 2):
+        f = coh.Cochain(act, 2, np.array(table, dtype=np.int64))
+        _assert_table_matches(crossed.crossed_product(act, f), f)
+
+
+def _corrupted_e1():
+    alg = crossed.skew_group_ring(fixtures.fixture("E1"))
+    table = alg.table.copy()
+    table[5, 5] = 7   # (1,1)(1,1) = (2,0), changed to (2,2)
+    names = [f"({g},{d})" for g, d in alg.monomials()]
+    return alg, table, names
+
+
+def _assoc_fails(table, i, j, k):
+    return table[table[i, j], k] != table[i, table[j, k]]
+
+
+def test_corrupted_table_names_first_failing_triple():
+    alg, table, names = _corrupted_e1()
+    first = next(t for t in itertools.product(range(len(table)), repeat=3)
+                 if _assoc_fails(table, *t))
+    want = "associativity fails on monomials " + ",".join(names[x] for x in first)
+    with pytest.raises(DefectError, match=re.escape(want) + "$"):
+        crossed._check_associativity(alg.basis, table)
+
+
+def test_corrupted_table_sampled_names_first_failing_sample(monkeypatch):
+    alg, table, names = _corrupted_e1()
+    monkeypatch.setattr(crossed, "ASSOC_TRIPLE_BUDGET", 100)
+    rng = random.Random(0)
+    samples = [tuple(rng.randrange(len(table)) for _ in range(3))
+               for _ in range(crossed.SAMPLED_TRIPLES)]
+    first = next(t for t in samples if _assoc_fails(table, *t))
+    want = "associativity fails on monomials " + ",".join(names[x] for x in first)
+    with pytest.raises(DefectError, match=re.escape(want) + "$"):
+        crossed._check_associativity(alg.basis, table)
+    assert crossed._check_associativity(alg.basis, alg.table) == \
+        crossed.AssocReport(crossed.SAMPLED_TRIPLES, True, True)
+
+
+# one changed factor-set entry per check; each message is the one the
+# scalar per-element loops report first
+@pytest.mark.parametrize("name,i,j,value,message", [
+    ("E1", 2, 1, 2, "balance fails at g=0,h=0,u=2,v=1,r=1"),
+    ("E1", 6, 0, 2, "left linearity fails"),
+    ("E2", 1, 22, 4, "right linearity fails"),
+    ("E2", 21, 20, 2, "factor set leaves the 1_g corner"),
+    ("N1", 1, 3, 0, "pentagon fails at (0,1,1)"),
+])
+def test_corrupted_factor_set_names_first_failure(monkeypatch, name, i, j,
+                                                  value, message):
+    honest = crossed._theta_values
+
+    def corrupted(action, basis):
+        values = honest(action, basis).copy()
+        values[i, j] = value
+        return values
+
+    monkeypatch.setattr(crossed, "_theta_values", corrupted)
+    with pytest.raises(DefectError, match=re.escape(message) + "$"):
+        crossed.theta_factor_set(fixtures.fixture(name))
+
+
+def test_wrong_unit_names_first_monomial():
+    act = fixtures.fixture("E1")
+    alg = crossed.skew_group_ring(act)
+    e = 1   # the idempotent (1,0,0), not the unit (1,1,1)
+    ident = act.group.identity
+    first = next(m for m in alg.monomials()
+                 if _reference_product(act, None, ident, e, *m) != m
+                 or _reference_product(act, None, *m, ident, e) != m)
+    with pytest.raises(DefectError, match=re.escape(
+            f"unit fails on monomial ({first[0]},{first[1]})")):
+        crossed._algebra(act, None, e, "skew", alg.basis, alg.table)
+
+
+def test_non_central_invariant_names_first_witness(monkeypatch):
+    act = fixtures.fixture("E1")
+    alg = crossed.skew_group_ring(act)
+    R, ident = act.ring, act.group.identity
+    # pretend all of R is invariant: the nontrivial action moves some of it
+    monkeypatch.setattr(crossed, "invariant_subring",
+                        lambda action: subring_from_members(R, range(R.order)))
+    s, (g, d) = next(
+        (s, m) for s in range(R.order) for m in alg.monomials()
+        if _reference_product(act, None, ident, s, *m)
+        != _reference_product(act, None, *m, ident, s))
+    with pytest.raises(DefectError, match=re.escape(
+            f"invariant {s} not central against ({g},{d})")):
+        crossed._algebra(act, None, R.one, "skew", alg.basis, alg.table)
+
+
+def test_non_multiplicative_map_names_first_pair():
+    act = fixtures.fixture("E2")
+    R = act.ring
+    skew = crossed.skew_group_ring(act)
+    # scaling grade 1 by a unit s with s·s != s is not multiplicative
+    s = next(x for x in range(R.order) if int(R.mul[x, x]) != x
+             and any(int(R.mul[x, y]) == R.one for y in range(R.order)))
+    scale = [act.one(g) for g in range(act.group.order)]
+    scale[act.group.identity] = s
+
+    def image(g, a):
+        return g, int(R.mul[a, scale[g]])
+
+    (g, a), (h, b) = next(
+        (m, n) for m, n in _monomial_pairs(act)
+        if image(*_reference_product(act, None, *m, *n))
+        != _reference_product(act, None, *image(*m), *image(*n)))
+    with pytest.raises(PreconditionError, match=re.escape(
+            f"map not multiplicative on ({g},{a})x({h},{b})")):
+        crossed._verify_iso(skew, skew, scale)
+
+
+def test_e3_crossed_still_sampled(capsys):
+    assert cli.main(["crossed", "--fixture", "E3"]) == 0
+    out = capsys.readouterr().out
+    assert "associativity: ok (20000 monomial triples, sampled)" in out
