@@ -3,8 +3,9 @@
 An n-cochain assigns to each tuple (g1..gn) a unit of the corner
 R·1_{g1}·1_{g1g2}···1_{g1..gn}; inverses are always corner inverses.
 Two engines compute Z/B/H: an enumeration engine (depth-first kernel
-search plus full coboundary scans) and a structure engine (corner unit
-presentations, generator matrices for delta, integer normal forms).
+search) and a structure engine (corner unit presentations, generator
+matrices for delta, kernel and image lattices).  Both list B^n as the
+subgroup generated by the coboundaries of the corner-unit generators.
 They agree wherever both run, and tests insist on it.
 """
 from __future__ import annotations
@@ -304,19 +305,48 @@ def _kernel_dfs(action: PartialAction, n: int) -> list[tuple[int, ...]]:
     return sorted(results)
 
 
-@lru_cache(maxsize=64)
 def _image_scan(action: PartialAction, n: int) -> set[tuple[int, ...]]:
-    """All delta^(n-1) images as value tables (B^n), by full scan."""
+    """All delta^(n-1) images as value tables (B^n)."""
+    return set(map(tuple, _image_rows(action, n).tolist()))
+
+
+@lru_cache(maxsize=64)
+def _image_rows(action: PartialAction, n: int) -> np.ndarray:
+    """B^n as the rows of a read-only array: the subgroup of C^n that the
+    delta^(n-1) images of the corner-unit generators generate, closed
+    under R.mul breadth first.  The closure costs |B^n| x #generators
+    products, not a scan of C^(n-1)."""
     if n == 0:
         raise ValueError("B^0 is trivial by convention")
-    nG = action.group.order
-    pos_out = positions(action, n)
-    out = set()
-    for table in _enumerate_cochains(action, n - 1):
-        def lookup(face, _t=table):
-            return _t[_flat_index(nG, face)]
-        img = tuple(_delta_value(action, n - 1, gs, lookup) for gs in pos_out)
-        out.add(img)
+    R = action.ring
+    images, _, cod = _generator_images(action, n - 1)
+    dtype = np.min_scalar_type(R.order - 1)
+    width = len(cod[0])
+    key_type = np.dtype((np.void, width * dtype.itemsize))
+
+    def keys(rows):
+        return np.ascontiguousarray(rows, dtype=dtype).view(key_type).ravel().tolist()
+
+    def rows_of(ks):
+        return np.frombuffer(b"".join(ks), dtype=dtype).reshape(-1, width)
+
+    gens = np.array(images, dtype=np.int64).reshape(-1, width)
+    found = keys(np.array([cod[1]]))   # the identity cochain
+    seen = set(found)
+    frontier = rows_of(found)
+    while len(frontier):
+        fresh = []
+        for g in gens:
+            for key in dict.fromkeys(keys(R.mul[frontier, g])):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(key)
+            if len(seen) > MATERIALIZE_BUDGET:
+                raise BudgetError("materialize", MATERIALIZE_BUDGET, len(seen))
+        found += fresh
+        frontier = rows_of(fresh)
+    out = rows_of(found)
+    out.flags.writeable = False
     return out
 
 
@@ -425,21 +455,20 @@ def _table_from_coords(vec, pres, offsets):
 STRUCTURE_POSITION_BUDGET = 200_000
 
 
-def _delta_matrix(action: PartialAction, n: int):
-    """Generator matrix of delta^n : C^n -> C^(n+1) in corner-presentation
-    coordinates, together with both spaces' descriptions."""
+def _generator_images(action: PartialAction, n: int):
+    """delta^n of each corner-unit generator cochain (the identity cochain
+    with one position moved to a generator of its corner's unit group), as
+    value tables, together with both spaces' descriptions."""
     nG = action.group.order
     if nG ** (n + 1) > STRUCTURE_POSITION_BUDGET:
         raise BudgetError("structure-positions", STRUCTURE_POSITION_BUDGET,
                           nG ** (n + 1))
     dom = _space_presentations(action, n)
     cod = _space_presentations(action, n + 1)
-    pos_d, _, pres_d, mod_d, off_d = dom
-    pos_c, _, pres_c, mod_c, off_c = cod
-    ident_d = [corner_idem(action, gs) for gs in pos_d]
-    rows = []
+    _, ident_d, pres_d, _, _ = dom
+    images = []
     for i, p in enumerate(pres_d):
-        for j, g in enumerate(p.generators):
+        for g in p.generators:
             table = list(ident_d)
             table[i] = g
             if n == 0:
@@ -448,8 +477,18 @@ def _delta_matrix(action: PartialAction, n: int):
             else:
                 def lookup(face, _t=table):
                     return _t[_flat_index(nG, face)]
-            img = [_delta_value(action, n, gs, lookup) for gs in pos_c]
-            rows.append(_coords_of_table(img, pres_c, off_c, len(mod_c)))
+            images.append([_delta_value(action, n, gs, lookup)
+                           for gs in cod[0]])
+    return images, dom, cod
+
+
+def _delta_matrix(action: PartialAction, n: int):
+    """Generator matrix of delta^n : C^n -> C^(n+1) in corner-presentation
+    coordinates, together with both spaces' descriptions."""
+    images, dom, cod = _generator_images(action, n)
+    _, _, pres_c, mod_c, off_c = cod
+    rows = [_coords_of_table(img, pres_c, off_c, len(mod_c))
+            for img in images]
     return rows, dom, cod
 
 
@@ -478,27 +517,10 @@ def _structure_engine(action: PartialAction, n: int) -> CohomologyGroup:
         return CohomologyGroup(n=n, z_order=1, b_order=1, h_order=1,
                                h_structure=pres, representatives=(ident,),
                                engine="structure", lex_least=True)
-    z_order, _, _ = groups.kernel_image_orders(rows_n, mod_d, mod_c)
-    _, b_order, _ = groups.kernel_image_orders(
-        rows_prev, dom_prev[3], mod_d)
-
     # kernel lattice of delta^n inside Z^kd (includes the moduli lattice)
-    lam = intmat.RowLattice(kd)
-    if len(mod_c):
-        stacked = [list(r) for r in rows_n]
-        for i, e in enumerate(mod_c):
-            row = [0] * len(mod_c)
-            row[i] = e
-            stacked.append(row)
-        for v in intmat.kernel_basis(intmat.transpose(stacked)):
-            lam.add(v[:kd])
-    else:
-        for row in intmat.eye(kd):
-            lam.add(row)
-    for j, d in enumerate(mod_d):
-        row = [0] * kd
-        row[j] = d
-        lam.add(row)
+    z_order, _, _, lam = groups.kernel_image_orders(rows_n, mod_d, mod_c)
+    _, b_order, _, _ = groups.kernel_image_orders(
+        rows_prev, dom_prev[3], mod_d)
 
     # H = kernel lattice / (image lattice of delta^(n-1) + moduli lattice)
     b_lat = intmat.RowLattice(kd)
@@ -557,12 +579,10 @@ def _structure_engine(action: PartialAction, n: int) -> CohomologyGroup:
     lex = False
     if z_order <= MATERIALIZE_BUDGET and b_order * len(rep_tables) \
             <= MATERIALIZE_BUDGET:
-        b_tables = _materialize_image(action, n)
-        if b_tables is not None:
-            rep_tables = [
-                min(tuple(int(R.mul[x, y]) for x, y in zip(t, bt))
-                    for bt in b_tables)
-                for t in rep_tables]
+        b_rows = _materialize_image(action, n)
+        if b_rows is not None:
+            rep_tables = [_lex_least_row(R.mul[list(t), b_rows])
+                          for t in rep_tables]
             lex = True
     reps = tuple(Cochain(action, n, np.array(t, dtype=np.int64))
                  for t in rep_tables)
@@ -592,11 +612,22 @@ def _solve_triangular(basis_rows, target):
 
 
 def _materialize_image(action, n):
-    """Sorted value tables of B^n when the scan fits the budget."""
+    """B^n as array rows when its closure fits the budget."""
     try:
-        return sorted(_image_scan(action, n))
+        return _image_rows(action, n)
     except BudgetError:
         return None
+
+
+def _lex_least_row(rows: np.ndarray) -> tuple[int, ...]:
+    """The lexicographically least row, as a tuple of ints."""
+    idx = np.arange(len(rows))
+    for col in range(rows.shape[1]):
+        vals = rows[idx, col]
+        idx = idx[vals == vals.min()]
+        if len(idx) == 1:
+            break
+    return tuple(rows[idx[0]].tolist())
 
 
 def default_engine(action: PartialAction, n: int) -> str:

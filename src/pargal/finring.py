@@ -208,8 +208,8 @@ def subring_from_members(ambient: FiniteRing, members) -> Subring:
 
 
 def _additive_span(ring: FiniteRing, seed) -> np.ndarray:
-    """Sorted additive subgroup generated by seed (an iterable of elements)."""
-    cur = np.unique(np.asarray(sorted(set(seed) | {ring.zero}), dtype=np.int64))
+    """Sorted additive subgroup generated by seed (an array of elements)."""
+    cur = np.union1d(np.ravel(seed), [ring.zero]).astype(np.int64)
     while True:
         nxt = np.unique(ring.add[np.ix_(cur, cur)])
         if nxt.shape == cur.shape:

@@ -23,7 +23,7 @@ import numpy as np
 from . import intmat
 from .errors import DefectError, PreconditionError
 from .finring import FiniteRing, Subring, _additive_span, primitive_idempotents
-from .groups import FinAbPresentation, abelian_structure
+from .groups import FinAbPresentation, abelian_structure, kernel_image_orders
 from .partial_action import PartialAction, invariant_subring
 
 SEARCH_BUDGET = 1_000_000
@@ -251,7 +251,7 @@ def is_galois(action: PartialAction) -> bool:
 @dataclass(frozen=True)
 class RegularRepReport:
     is_homomorphism: bool
-    injective: bool | None       # None: skew ring too large to scan
+    injective: bool              # decided by the kernel order of rho
     skew_order: int
     invariant_order: int
     free_rank: int | None        # rank of R over R^alpha when free
@@ -273,10 +273,7 @@ def rho_monomial(action: PartialAction, g: int, r: int) -> np.ndarray:
 
 
 def _module_span(ring: FiniteRing, s_arr: np.ndarray, vecs) -> np.ndarray:
-    seed = set()
-    for b in vecs:
-        seed.update(int(v) for v in ring.mul[s_arr, b])
-    return _additive_span(ring, seed)
+    return _additive_span(ring, ring.mul[s_arr[:, None], vecs])
 
 
 def _free_basis(ring: FiniteRing, s_members, rank: int):
@@ -339,6 +336,40 @@ def _count_linear_endos(ring: FiniteRing, s_members) -> int | None:
     return count
 
 
+def _ideal_presentation(ring: FiniteRing, e: int) -> FinAbPresentation:
+    """Additive presentation of the ideal Re."""
+    if e == ring.one:
+        return _additive_presentation(ring)
+    return abelian_structure(list(ring.corner_members(e)),
+                             lambda a, b: int(ring.add[a, b]), ring.zero)
+
+
+def _rho_kernel_order(action: PartialAction) -> int:
+    """Order of the kernel of rho on R*G = (+)_g D_g·delta_g.
+
+    rho is additive there, and an additive endomorphism of R is fixed by
+    its values at R's additive generators, so rho is the homomorphism
+    sending each additive generator x of each D_g to the values of
+    rho(x·delta_g) at those generators, in additive-presentation
+    coordinates; its kernel order comes from lattice algebra."""
+    R = action.ring
+    pres = _additive_presentation(R)
+    gens = list(pres.generators)
+    ideals: dict[int, FinAbPresentation] = {}
+    rows, dom_moduli = [], []
+    for g in range(action.group.order):
+        e = action.one(g)
+        if e not in ideals:
+            ideals[e] = _ideal_presentation(R, e)
+        at_gens = action.alpha_hat[g][gens]
+        for x, d in zip(ideals[e].generators, ideals[e].invariant_factors):
+            rows.append([c for y in R.mul[x, at_gens].tolist()
+                         for c in pres.coords_of(y)])
+            dom_moduli.append(d)
+    cod_moduli = list(pres.invariant_factors) * len(gens)
+    return kernel_image_orders(rows, dom_moduli, cod_moduli)[0]
+
+
 def skew_order(action: PartialAction) -> int:
     return prod(len(action.domain_members(g)) for g in range(action.group.order))
 
@@ -373,17 +404,7 @@ def regular_representation(action: PartialAction) -> RegularRepReport:
             break
 
     order = skew_order(action)
-    injective: bool | None = None
-    if order <= ENDO_SCAN_BUDGET:
-        images = set()
-        rows = {g: [rho_monomial(action, g, int(r)) for r in action.domain_members(g)]
-                for g in range(G.order)}
-        for choice in itertools.product(*(range(len(rows[g])) for g in range(G.order))):
-            acc = np.full(R.order, R.zero, dtype=np.int64)
-            for g, ci in enumerate(choice):
-                acc = R.add[acc, rows[g][ci]]
-            images.add(acc.tobytes())
-        injective = len(images) == order
+    injective = _rho_kernel_order(action) == 1
 
     s_order = len(s_members)
     rank = None
@@ -398,7 +419,7 @@ def regular_representation(action: PartialAction) -> RegularRepReport:
         basis = None
     endo_order = s_order ** (rank * rank) if rank is not None else None
     bijective = None
-    if injective is not None and endo_order is not None:
+    if endo_order is not None:
         bijective = injective and order == endo_order and hom_ok
 
     brute = _count_linear_endos(R, s_members)

@@ -262,7 +262,8 @@ def _group_inv(op, identity, a):
 def kernel_image_orders(A, dom_moduli, cod_moduli):
     """Kernel/image orders of the map (Z/d1 x ...) -> (Z/e1 x ...) whose
     j-th domain generator maps to row j of A (codomain coordinates).
-    Returns (kernel_order, image_order, image_lattice)."""
+    Returns (kernel_order, image_order, image_lattice, kernel_lattice);
+    the kernel lattice is the preimage of 0 in Z^len(dom_moduli)."""
     kd, kc = len(dom_moduli), len(cod_moduli)
     dom_order = prod(dom_moduli) if kd else 1
     im_lat = intmat.RowLattice(kc)
@@ -270,45 +271,24 @@ def kernel_image_orders(A, dom_moduli, cod_moduli):
         row = [0] * kc
         row[i] = e
         im_lat.add(row)
-    if kc == 0:
-        return dom_order, 1, im_lat
-    if kd == 0:
-        return 1, 1, im_lat
-
     for j, d in enumerate(dom_moduli):
-        row = A[j]
-        scaled = [d * x for x in row]
-        if not im_lat.contains(scaled):
+        if kc and not im_lat.contains([d * x for x in A[j]]):
             raise PreconditionError(
                 f"generator {j} image violates its order {d}")
 
-    # lattice of integer domain vectors mapping into the modulus lattice
-    stacked = [list(A[j]) for j in range(kd)]
-    for i, e in enumerate(cod_moduli):
-        row = [0] * kc
-        row[i] = e
-        stacked.append(row)
-    ker_cols = intmat.kernel_basis(intmat.transpose(stacked))
-    lam = intmat.RowLattice(kd)
-    for v in ker_cols:
-        lam.add(v[:kd])
-    for j, d in enumerate(dom_moduli):
-        row = [0] * kd
-        row[j] = d
-        lam.add(row)
-    cd = prod(dom_moduli)
-    cl = lam.covolume()
-    assert cl and cd % cl == 0
-    kernel_order = cd // cl
+    ker_lat = intmat.kernel_lattice(A, dom_moduli, cod_moduli)
+    cl = ker_lat.covolume()
+    assert cl and dom_order % cl == 0
+    kernel_order = dom_order // cl
 
-    for j in range(kd):
+    for j in range(kd if kc else 0):
         im_lat.add(A[j])
     ce = prod(cod_moduli)
     cim = im_lat.covolume()
     assert cim and ce % cim == 0
     image_order = ce // cim
     assert kernel_order * image_order == dom_order
-    return kernel_order, image_order, im_lat
+    return kernel_order, image_order, im_lat, ker_lat
 
 
 def hom_kernel_image(domain: FinAbPresentation, codomain: FinAbPresentation,
@@ -319,7 +299,7 @@ def hom_kernel_image(domain: FinAbPresentation, codomain: FinAbPresentation,
     if len(images) != len(domain.generators):
         raise PreconditionError("one image per domain generator required")
     A = [list(codomain.coords_of(y)) for y in images]
-    kernel_order, image_order, im_lat = kernel_image_orders(
+    kernel_order, image_order, im_lat, _ = kernel_image_orders(
         A, list(domain.invariant_factors), list(codomain.invariant_factors))
     reps, seen = [], set()
     for x in codomain.elements:

@@ -2,11 +2,15 @@
 
 Matrices are lists of rows of python ints, so every computation is
 arbitrary precision.  Sizes here stay in the low hundreds; simple
-pivot-by-smallest reduction is plenty.
+pivot-by-smallest reduction is plenty.  Kernels of maps between finite
+abelian groups never leave the moduli, so `kernel_lattice` works on
+numpy rows reduced mod the domain orders instead.
 """
 from __future__ import annotations
 
-from math import prod
+from math import gcd, prod
+
+import numpy as np
 
 
 def eye(n: int) -> list[list[int]]:
@@ -119,17 +123,65 @@ def smith_normal_form(mat):
     return diag, U, V, Uinv, Vinv
 
 
-def kernel_basis(mat) -> list[list[int]]:
-    """Basis vectors (columns) of the integer kernel {x : mat @ x = 0}."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [col for col in eye(n)]
-    diag, _, V, _, _ = smith_normal_form(mat)
-    rank = sum(1 for d in diag if d)
-    return [[V[r][j] for r in range(n)] for j in range(rank, n)]
+def kernel_lattice(A, dom_moduli, cod_moduli) -> RowLattice:
+    """{x in Z^k : xA in (+) e_j Z} + (+) d_i Z as a RowLattice.
+
+    Row i of A is the image of the i-th generator of Z/d_1 x ... x Z/d_k
+    in Z/e_1 x ...; each image must respect its order (d_i A[i][j] = 0
+    mod e_j), so the answer is the preimage of 0 and contains every
+    d_i e_i.  The lattice is held as k generating rows modulo (+) d_i Z,
+    entries reduced mod d, and cut down one codomain column at a time:
+    extended-gcd row operations move the column's values mod e onto one
+    pivot row, which is then multiplied by e / gcd(value, e).
+    """
+    k = len(dom_moduli)
+    top = max([*dom_moduli, *cod_moduli, 1])
+    # every intermediate value stays below (k + 2)·top²
+    dtype = np.int64 if (k + 2) * top * top < 2 ** 62 else object
+    d = np.array(dom_moduli, dtype=dtype)
+    B = np.eye(k, dtype=dtype)
+    for j, e in enumerate(cod_moduli):
+        v = B @ np.array([A[i][j] % e for i in range(k)], dtype=dtype) % e
+        while True:
+            nz = np.flatnonzero(v)
+            if not len(nz):
+                break
+            p = int(nz[np.argmin(np.gcd(v[nz], e))])
+            g = gcd(int(v[p]), e)
+            off = nz[v[nz] % g != 0]
+            if len(off):
+                # unimodular 2x2 step: the pivot's value becomes gcd(v_p, v_r)
+                r = int(off[0])
+                vp, vr = int(v[p]), int(v[r])
+                h, s, t = _xgcd(vp, vr)
+                B[p], B[r] = ((s * B[p] + t * B[r]) % d,
+                              (vr // h * B[p] - vp // h * B[r]) % d)
+                v[p], v[r] = h, 0
+                continue
+            # every value is a multiple of the pivot's: clear them at once
+            c = (v[nz] // g) * pow(int(v[p]) // g, -1, e // g) % (e // g)
+            c[nz == p] = 0
+            B[nz] = (B[nz] - c[:, None] * B[p]) % d
+            B[p] = B[p] * (e // g) % d
+            break
+    lat = RowLattice(k)
+    for i, di in enumerate(dom_moduli):
+        row = [0] * k
+        row[i] = di
+        lat.add(row)
+    for row in B.tolist():
+        lat.add(row)
+    return lat
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s·a + t·b = g = gcd(a, b), for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
 
 class RowLattice:

@@ -17,6 +17,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DefectError, PreconditionError
 from .finring import FiniteRing, _additive_span, idempotents
 from .partial_action import PartialAction
@@ -77,16 +79,15 @@ def _tensor_support(action: PartialAction, g: int, e: int) -> int:
     it."""
     R = action.ring
     ginv = action.group.inv(g)
-    dg = [int(x) for x in action.domain_members(g)]
-    dginv = [int(x) for x in action.domain_members(ginv)]
-    re = [x for x in range(R.order) if int(R.mul[x, e]) == x]
+    ahat = action.alpha_hat[g]
+    dg = np.asarray(action.domain_members(g), dtype=np.int64)
+    dginv = np.asarray(action.domain_members(ginv), dtype=np.int64)
+    re = np.flatnonzero(R.mul[:, e] == np.arange(R.order))
     # step 1: d (x) x collapses to d·alpha_g(x·1_{g^-1}) (x) e
-    t1 = _additive_span(
-        R, (int(R.mul[d, action.alpha_hat[g][x]]) for d in dg for x in re))
+    t1 = _additive_span(R, R.mul[dg[:, None], ahat[re]])
     # step 2: t (x) d collapses to t·alpha_g(d·1_{g^-1}) (x) 1_{g^-1},
     # the right twist then straightens to the plain action
-    t2 = _additive_span(
-        R, (int(R.mul[int(t), action.alpha_hat[g][d]]) for t in t1 for d in dginv))
+    t2 = _additive_span(R, R.mul[t1[:, None], ahat[dginv]])
     return _ideal_support(R, t2)
 
 

@@ -15,10 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import galois
 from .cohomology import (Cochain, cohomologous, cohomology_group, identity_cochain,
                          is_cocycle)
-from .errors import BudgetError, DefectError, PreconditionError
+from .errors import DefectError, PreconditionError
 from .galois import GaloisCertificate, find_certificate, regular_representation
 from .partial_action import PartialAction, invariant_subring
 from .picsemi import COLLAPSE_NOTE, pics_monoid, star_action, z1_pics
@@ -186,8 +185,6 @@ def delta_theta_brauer_class(action: PartialAction) -> BrauerVerdict:
 
     _require_galois(action)
     rep = regular_representation(action)
-    if rep.injective is None:   # undecided: |R*G| is past the scan budget
-        raise BudgetError("endo-scan", galois.ENDO_SCAN_BUDGET, rep.skew_order)
     if rep.bijective is not True:
         raise DefectError(f"regular representation is not an isomorphism: {rep}")
     kappa = kappa_iso(action)

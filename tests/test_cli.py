@@ -138,15 +138,15 @@ def test_delta_theta(capsys):
     assert "collapses to Delta(Theta)" in out
 
 
-def test_delta_theta_undecided_is_budget_not_defect(tmp_path, capsys):
-    # |R*G| = 2^36 is past the endomorphism scan budget, so whether rho is
-    # bijective stays undecided: a refusal naming the budget, not a defect
+def test_delta_theta_f2c6g_matrix_ring(tmp_path, capsys):
+    # |R*G| = 2^36: too large to list, so injectivity of rho is decided by
+    # the kernel order of the lattice map, and C6 on GF(2)^6 is Galois
     cfg = tmp_path / "f2c6g.ini"
     cfg.write_text(F2C6G_INI)
-    code, _, err = run(capsys, ["delta-theta", "--config", str(cfg)])
-    assert code == 2
-    assert "budget 'endo-scan' exceeded: needs 68719476736" in err
-    assert "defect:" not in err
+    code, out, err = run(capsys, ["delta-theta", "--config", str(cfg)])
+    assert code == 0, err
+    assert "Delta(Theta) = M_6(GF(2)), order 68719476736" in out
+    assert "regular representation bijective: True" in out
 
 
 def test_pics(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pargal import cohomology as coh
 from pargal import fixtures
-from pargal.errors import PreconditionError
+from pargal.errors import BudgetError, PreconditionError
 
 
 def _random_cochain(action, n, rng):
@@ -192,6 +193,42 @@ def test_b_inside_z_all_fixtures():
             z = set(coh._kernel_dfs(act, n))
             b = coh._image_scan(act, n)
             assert b <= z
+
+
+def _brute_coboundaries(act, n):
+    """B^n by definition: delta c for every c in C^(n-1)."""
+    return {coh.coboundary(act, coh.Cochain(act, n - 1, np.array(t))).value_tuple()
+            for t in coh._enumerate_cochains(act, n - 1)}
+
+
+@pytest.mark.parametrize("name,ns", [
+    ("E2", (1, 2, 3)), ("E3", (1, 2)), ("f8c3", (1, 2))])
+def test_image_closure_matches_coboundary_scan(name, ns, stress_action):
+    act = fixtures.fixture(name) if name[0] == "E" else stress_action(name)
+    for n in ns:
+        assert coh._image_scan(act, n) == _brute_coboundaries(act, n)
+
+
+def test_image_closure_refuses_past_budget(monkeypatch):
+    act = fixtures.fixture("E2")
+    coh._image_rows.cache_clear()
+    monkeypatch.setattr(coh, "MATERIALIZE_BUDGET", 100)   # |B^3| = 243
+    with pytest.raises(BudgetError) as info:
+        coh._image_scan(act, 3)
+    assert info.value.budget == "materialize"
+    assert coh._materialize_image(act, 3) is None
+    coh._image_rows.cache_clear()
+
+
+def test_f8c3_h3_lex_least_in_seconds(stress_action):
+    act = stress_action("f8c3")
+    start = time.perf_counter()
+    grp = coh.cohomology_group(act, 3)
+    assert time.perf_counter() - start < 5.0
+    assert grp.lex_least and grp.engine == "structure"
+    assert (grp.z_order, grp.b_order, grp.h_order) == (16807, 16807, 1)
+    # the one representative is the least member of B^3, the identity coset
+    assert grp.representatives[0].value_tuple() == min(coh._image_scan(act, 3))
 
 
 def test_representatives_lex_least_enumeration():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -141,6 +142,28 @@ def test_regular_representation_trivial_not_bijective():
     assert rep.skew_order == 4
     assert rep.endo_order == 2
     assert rep.bijective is False
+
+
+def _rho_injective_by_enumeration(act):
+    """Injectivity of rho by listing the image of every element of R*G."""
+    R, nG = act.ring, act.group.order
+    rows = [[galois.rho_monomial(act, g, r) for r in act.domain_members(g)]
+            for g in range(nG)]
+    images = set()
+    for choice in itertools.product(*rows):
+        acc = np.full(R.order, R.zero, dtype=np.int64)
+        for table in choice:
+            acc = R.add[acc, table]
+        images.add(acc.tobytes())
+    return len(images) == galois.skew_order(act)
+
+
+@pytest.mark.parametrize("name,want", [
+    ("E0", True), ("E1", True), ("E2", True), ("N1", False)])
+def test_rho_injectivity_matches_enumeration(name, want):
+    act = fixtures.fixture(name)
+    assert _rho_injective_by_enumeration(act) is want
+    assert galois.regular_representation(act).injective is want
 
 
 def test_galois_iff_bijective_rho():

@@ -1,3 +1,7 @@
+import itertools
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -137,3 +141,54 @@ def test_kernel_times_image_is_domain_order(tag):
     img = {dom._op(x, x) for x in elems}
     ker = [x for x in elems if dom._op(x, x) == dom.identity]
     assert (k, im) == (len(ker), len(img))
+
+
+def _brute_kernel_image(A, dom_moduli, cod_moduli):
+    kernel, image = 0, set()
+    for x in itertools.product(*(range(d) for d in dom_moduli)):
+        y = tuple(sum(c * row[j] for c, row in zip(x, A)) % e
+                  for j, e in enumerate(cod_moduli))
+        kernel += not any(y)
+        image.add(y)
+    return kernel, len(image)
+
+
+@st.composite
+def _homs(draw):
+    """Mixed moduli in 2..15, at most 2,000 domain elements, and a matrix
+    whose rows respect their generators' orders."""
+    dom = draw(st.lists(st.integers(2, 15), max_size=4).filter(
+        lambda m: math.prod(m) <= 2000))
+    cod = draw(st.lists(st.integers(2, 15), max_size=4))
+    A = [[draw(st.integers(-4, 4)) * (e // math.gcd(d, e)) for e in cod]
+         for d in dom]
+    return A, dom, cod
+
+
+@given(_homs())
+def test_kernel_image_orders_match_enumeration(hom):
+    A, dom, cod = hom
+    k, im, _, ker_lat = groups.kernel_image_orders(A, dom, cod)
+    assert (k, im) == _brute_kernel_image(A, dom, cod)
+    assert math.prod(dom) // ker_lat.covolume() == k
+
+
+def test_kernel_image_orders_large_entries_fast():
+    # the former Smith-normal-form kernel grew 19,000-bit entries here
+    A = [[35, -20, 8, -18, -24], [-3, 24, 16, 9, 24],
+         [-30, -6, -16, 9, 6], [-20, 21, 14, 3, 17]]
+    dom, cod = [3, 5, 2, 12], [15, 12, 8, 9, 12]
+    start = time.perf_counter()
+    k, im, _, _ = groups.kernel_image_orders(A, dom, cod)
+    assert time.perf_counter() - start < 1.0
+    assert (k, im) == (1, 360) == _brute_kernel_image(A, dom, cod)
+
+
+def test_kernel_image_orders_huge_moduli():
+    # past int64 range for the intermediate products: exact all the same
+    big = 2 ** 40
+    k, im, _, ker_lat = groups.kernel_image_orders([[2, 3]], [big], [big, big])
+    assert (k, im) == (1, big)
+    k, im, _, ker_lat = groups.kernel_image_orders([[2]], [big], [big])
+    assert (k, im) == (2, big // 2)
+    assert ker_lat.basis() == [[big // 2]]

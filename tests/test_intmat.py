@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,8 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import given, strategies as st
 
-from pargal import intmat
+from pargal import cohomology as coh
+from pargal import fixtures, intmat
 
 
 def _mat_mul(A, B):
@@ -51,15 +53,48 @@ def test_snf_factorisation_and_divisibility(rows):
     assert theirs == ours
 
 
-@given(small_mats)
-def test_kernel_basis_annihilates(rows):
-    ker = intmat.kernel_basis(rows)
-    n = len(rows[0])
-    for v in ker:
-        assert len(v) == n
-        assert all(x == 0 for x in intmat.mat_vec(rows, v))
-    # rank-nullity against sympy
-    assert len(ker) == n - _as_sympy(rows).rank()
+@given(small_mats, st.lists(st.integers(2, 12), min_size=5, max_size=5))
+def test_kernel_lattice_annihilates(rows, moduli):
+    # every domain order a multiple of every codomain order: any A is valid
+    cod = moduli[:len(rows[0])]
+    d = math.lcm(*cod)
+    lat = intmat.kernel_lattice(rows, [d] * len(rows), cod)
+    assert lat.rank() == len(rows)
+    for i in range(len(rows)):
+        assert lat.contains([d if j == i else 0 for j in range(len(rows))])
+    for x in lat.basis():
+        assert len(x) == len(rows)
+        image = intmat.mat_vec(intmat.transpose(rows), x)
+        assert all(y % e == 0 for y, e in zip(image, cod))
+
+
+def _snf_kernel_lattice(A, dom_moduli, cod_moduli):
+    """Reference: the integer kernel of A stacked over diag(e), read off
+    a Smith normal form, plus the domain moduli."""
+    kd, kc = len(dom_moduli), len(cod_moduli)
+    lat = intmat.RowLattice(kd)
+    for i, d in enumerate(dom_moduli):
+        lat.add([d if j == i else 0 for j in range(kd)])
+    if kc == 0:
+        for row in intmat.eye(kd):
+            lat.add(row)
+        return lat
+    stacked = [list(r) for r in A] + [
+        [e if j == i else 0 for j in range(kc)] for i, e in enumerate(cod_moduli)]
+    diag, _, V, _, _ = intmat.smith_normal_form(intmat.transpose(stacked))
+    rank = sum(1 for x in diag if x)
+    for j in range(rank, kd + kc):
+        lat.add([V[r][j] for r in range(kd)])
+    return lat
+
+
+@pytest.mark.parametrize("name", ["E2", "E3", "f4c4", "f8c3"])
+def test_kernel_lattice_matches_snf_on_delta(name, stress_action):
+    act = fixtures.fixture(name) if name[0] == "E" else stress_action(name)
+    for n in (0, 1, 2):
+        rows, dom, cod = coh._delta_matrix(act, n)
+        got = intmat.kernel_lattice(rows, dom[3], cod[3])
+        assert got.basis() == _snf_kernel_lattice(rows, dom[3], cod[3]).basis()
 
 
 def test_row_lattice_membership_and_covolume():
