@@ -40,8 +40,7 @@ STRUCTURE_HEAD = 12  # structure-constant lines shown on stdout
 _BUDGET_KNOBS = (
     (cohomology, ("ENUM_SCAN_BUDGET", "DFS_NODE_BUDGET", "MATERIALIZE_BUDGET",
                   "COCHAIN_SIZE_BUDGET", "STRUCTURE_POSITION_BUDGET")),
-    (galois, ("SEARCH_BUDGET", "LATTICE_BUDGET", "ENDO_SCAN_BUDGET",
-              "BASIS_NODE_BUDGET")),
+    (galois, ("SEARCH_BUDGET", "LATTICE_BUDGET", "BASIS_NODE_BUDGET")),
     (crossed, ("ASSOC_TRIPLE_BUDGET", "ELEMENT_ITER_BUDGET")),
 )
 
@@ -192,6 +191,9 @@ def _parse_twist(act: PartialAction, spec: str) -> Cochain:
     return Cochain(act, 2, np.asarray(vals, dtype=np.int64))
 
 
+_ASSOC_PROOF = "proved on additive generators of a bi-additive table"
+
+
 def cmd_crossed(args, inst: Instance):
     act = inst.action
     f = _parse_twist(act, args.twist)
@@ -201,12 +203,17 @@ def cmd_crossed(args, inst: Instance):
                  else " ".join(R.names[v] for v in f.value_tuple()))
     unit_txt = " + ".join(f"{R.names[c]}·d_{G.names[g]}"
                           for g, c in enumerate(alg.unit) if c != R.zero)
-    mode = "sampled" if alg.assoc.sampled else "exhaustive"
+    assoc = {"triples": alg.assoc.triples, "sampled": alg.assoc.sampled,
+             "ok": alg.assoc.ok}
+    how = f"{alg.assoc.triples} monomial triples, exhaustive"
+    if alg.assoc.on_generators:
+        assoc["proof"] = _ASSOC_PROOF
+        how = f"{alg.assoc.triples} generator triples, {_ASSOC_PROOF}"
     text = alg.structure_text()
     body = text.splitlines()
     lines = [f"twist: {twist_txt}",
              f"unit: {unit_txt}",
-             f"associativity: ok ({alg.assoc.triples} monomial triples, {mode})"]
+             f"associativity: ok ({how})"]
     lines += body[:1 + STRUCTURE_HEAD]
     more = len(body) - 1 - STRUCTURE_HEAD
     if more > 0:
@@ -215,8 +222,7 @@ def cmd_crossed(args, inst: Instance):
     doc = {"tag": alg.tag, "order": alg.order,
            "twist": [R.names[v] for v in f.value_tuple()],
            "unit": [R.names[c] for c in alg.unit],
-           "assoc": {"triples": alg.assoc.triples, "sampled": alg.assoc.sampled,
-                     "ok": alg.assoc.ok},
+           "assoc": assoc,
            "structure": text}
     return lines, doc, 0
 

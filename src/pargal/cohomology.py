@@ -518,18 +518,11 @@ def _structure_engine(action: PartialAction, n: int) -> CohomologyGroup:
                                h_structure=pres, representatives=(ident,),
                                engine="structure", lex_least=True)
     # kernel lattice of delta^n inside Z^kd (includes the moduli lattice)
-    z_order, _, _, lam = groups.kernel_image_orders(rows_n, mod_d, mod_c)
-    _, b_order, _, _ = groups.kernel_image_orders(
-        rows_prev, dom_prev[3], mod_d)
+    z_order, _, lam = groups.kernel_image_orders(rows_n, mod_d, mod_c)
+    _, b_order, _ = groups.kernel_image_orders(rows_prev, dom_prev[3], mod_d)
 
     # H = kernel lattice / (image lattice of delta^(n-1) + moduli lattice)
-    b_lat = intmat.RowLattice(kd)
-    for r in rows_prev:
-        b_lat.add(list(r))
-    for j, d in enumerate(mod_d):
-        row = [0] * kd
-        row[j] = d
-        b_lat.add(row)
+    b_lat = intmat.RowLattice(kd, [*intmat.diagonal_rows(mod_d), *rows_prev])
     K = lam.basis()
     coeffs = [_solve_triangular(K, list(b)) for b in b_lat.basis()]
     diag, U, V, Uinv, Vinv = intmat.smith_normal_form(coeffs)

@@ -18,7 +18,6 @@ index or slot element at a time.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -30,7 +29,6 @@ from .errors import BudgetError, DefectError, PreconditionError
 from .partial_action import PartialAction, _additive_generators, invariant_subring
 
 ASSOC_TRIPLE_BUDGET = 1_000_000
-SAMPLED_TRIPLES = 20_000
 ELEMENT_ITER_BUDGET = 1_000_000
 
 
@@ -77,6 +75,14 @@ class MonomialBasis:
     grade: np.ndarray
     coeff: np.ndarray
     pos: np.ndarray
+    action: PartialAction
+
+    @cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """Additive generators of each D_g, as coefficients."""
+        R = self.action.ring
+        return tuple(tuple(_additive_generators(R, self.coeff[self.grade == g]))
+                     for g in range(len(self.pos)))
 
     def index(self, g: int, d: int) -> int:
         i = int(self.pos[g, d]) if 0 <= d < self.pos.shape[1] else -1
@@ -94,7 +100,7 @@ def _monomial_basis(action: PartialAction) -> MonomialBasis:
     coeff = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64)
     pos = np.full((len(members), action.ring.order), -1, dtype=np.int64)
     pos[grade, coeff] = np.arange(len(coeff))
-    return MonomialBasis(grade, coeff, pos)
+    return MonomialBasis(grade, coeff, pos, action)
 
 
 def _theta_values(action: PartialAction, basis: MonomialBasis) -> np.ndarray:
@@ -123,6 +129,7 @@ class AssocReport:
     triples: int
     sampled: bool
     ok: bool
+    on_generators: bool = False   # proved on additive-generator triples
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +227,10 @@ class GradedAlgebra:
 
 def _check_associativity(basis: MonomialBasis, table: np.ndarray) -> AssocReport:
     """(m_i m_j) m_k = m_i (m_j m_k) on every triple, one first index i at
-    a time, when N^3 fits the budget; else on a seeded sample of triples."""
+    a time, when N^3 fits the budget.  Past it, a proof: once the table is
+    graded and its coefficients bi-additive, both sides are additive in
+    each of the three coefficients, so the identity holds everywhere as
+    soon as it holds on the additive generators of each D_g."""
     n = len(table)
     if n ** 3 <= ASSOC_TRIPLE_BUDGET:
         for i in range(n):
@@ -228,14 +238,42 @@ def _check_associativity(basis: MonomialBasis, table: np.ndarray) -> AssocReport
             if bad.any():
                 _assoc_defect(basis, i, *np.argwhere(bad)[0])
         return AssocReport(n ** 3, False, True)
-    rng = random.Random(0)
-    i, j, k = np.array([rng.randrange(n) for _ in range(3 * SAMPLED_TRIPLES)]
-                       ).reshape(-1, 3).T
-    bad = np.flatnonzero(table[table[i, j], k] != table[i, table[j, k]])
+    grade = basis.grade
+    bad = np.argwhere(grade[table] != basis.action.group.table[np.ix_(grade, grade)])
     if bad.size:
-        t = bad[0]
-        _assoc_defect(basis, i[t], j[t], k[t])
-    return AssocReport(SAMPLED_TRIPLES, True, True)
+        raise DefectError("table not graded at monomials "
+                          + ",".join(basis.name(x) for x in bad[0]))
+    _check_biadditive(basis, basis.coeff[table], "table")
+    gens = np.concatenate([basis.pos[g, list(ts)]
+                           for g, ts in enumerate(basis.generators)])
+    pair = table[gens[:, None], gens[None, :]]
+    bad = np.argwhere(table[pair[:, :, None], gens]
+                      != table[gens[:, None, None], pair])
+    if bad.size:
+        _assoc_defect(basis, *gens[bad[0]])
+    return AssocReport(len(gens) ** 3, False, True, on_generators=True)
+
+
+def _check_biadditive(basis: MonomialBasis, mu: np.ndarray, what: str):
+    """mu(a + t, b) = mu(a, b) + mu(t, b) for the coefficients a, b of any
+    monomials i, j (mu[i, j] in R) and every t among 0 and the additive
+    generators of a's D_g; likewise in the second slot.  Generator shifts
+    reach all of D_g, so mu is bi-additive; the zero shift forces
+    mu(0, b) = 0 even when D_g = 0."""
+    R = basis.action.ring
+    for slot, m in ((1, mu), (2, mu.T)):
+        for g, ts in enumerate(basis.generators):
+            rows = np.flatnonzero(basis.grade == g)
+            for t in (R.zero, *ts):
+                it = basis.pos[g, t]
+                bad = np.argwhere(m[basis.pos[g, R.add[basis.coeff[rows], t]]]
+                                  != R.add[m[rows], m[it]])
+                if bad.size:
+                    r, j = bad[0]
+                    raise DefectError(
+                        f"{what} not additive in slot {slot} at "
+                        f"{basis.name(rows[r])} + {basis.name(it)} "
+                        f"with {basis.name(j)}")
 
 
 def _assoc_defect(basis: MonomialBasis, *triple):
@@ -329,9 +367,10 @@ class ThetaFactorSet:
 def theta_factor_set(action: PartialAction) -> ThetaFactorSet:
     """Build the factor-set table, then check the 1_g corner, balance,
     outer linearity and the pentagon, one first-slot element u at a time.
-    All identities are additive in every element slot, so when full
-    enumeration exceeds the budget the slots range over additive
-    generators instead; the report says which ran."""
+    All identities are additive in every element slot once the table is,
+    so when full enumeration exceeds the budget the table is checked
+    bi-additive and the slots range over additive generators instead;
+    the report says which ran."""
     R, G = action.ring, action.group
     nG = G.order
     basis = _monomial_basis(action)
@@ -341,8 +380,8 @@ def theta_factor_set(action: PartialAction) -> ThetaFactorSet:
     slot = [basis.coeff[basis.grade == g] for g in range(nG)]
     r = np.arange(R.order)
     if not exhaustive:
-        slot = [np.asarray(_additive_generators(R, m), dtype=np.int64)
-                for m in slot]
+        _check_biadditive(basis, values, "factor set")
+        slot = [np.asarray(ts, dtype=np.int64) for ts in basis.generators]
         r = np.asarray(_additive_generators(R, r), dtype=np.int64)
     r = r[None, :]
     for g in range(nG):

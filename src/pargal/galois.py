@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -24,11 +24,10 @@ from . import intmat
 from .errors import DefectError, PreconditionError
 from .finring import FiniteRing, Subring, _additive_span, primitive_idempotents
 from .groups import FinAbPresentation, abelian_structure, kernel_image_orders
-from .partial_action import PartialAction, invariant_subring
+from .partial_action import PartialAction, _additive_generators, invariant_subring
 
 SEARCH_BUDGET = 1_000_000
 LATTICE_BUDGET = 40_000_000   # rows * cols^2 for the Smith reduction
-ENDO_SCAN_BUDGET = 1_000_000
 BASIS_NODE_BUDGET = 20_000
 
 
@@ -250,7 +249,7 @@ def is_galois(action: PartialAction) -> bool:
 
 @dataclass(frozen=True)
 class RegularRepReport:
-    is_homomorphism: bool
+    is_homomorphism: bool        # proved on additive generators
     injective: bool              # decided by the kernel order of rho
     skew_order: int
     invariant_order: int
@@ -258,8 +257,7 @@ class RegularRepReport:
     basis: tuple[int, ...] | None
     endo_order: int | None       # |S|^(rank^2) when free
     bijective: bool | None
-    sampled: bool                # pair checks sampled rather than exhaustive
-    cross_checked: bool          # endomorphism count re-derived by brute force
+    cross_checked: bool          # endo_order re-derived as a kernel order
 
     def __str__(self):
         bij = {True: "bijective", False: "not bijective", None: "undecided"}[self.bijective]
@@ -309,31 +307,33 @@ def _free_basis(ring: FiniteRing, s_members, rank: int):
     return tuple(got) if got is not None else None
 
 
-def _count_linear_endos(ring: FiniteRing, s_members) -> int | None:
-    """Brute-force |End_S(R)|: assign images to additive generators,
-    keep assignments that extend to additive maps and commute with S.
-    Additive extension is automatic once each image's additive order
-    divides its generator's; S-linearity then only needs checking at the
-    generators (both sides are additive in the other argument)."""
+def _linear_endo_order(ring: FiniteRing, s_members) -> int:
+    """|End_S(R)| as the kernel order of phi -> (phi(s·g_k) - s·phi(g_k)),
+    s and g_k over the additive generators of S and R (both sides are
+    additive in s and g_k, and the difference is additive in phi).  The
+    additive maps phi form (+)_j R[d_j]: phi(g_j) is any element of the
+    d_j-torsion, and R[d_j] = (+)_i Z/gcd(d_j, d_i), generated by
+    (d_i / gcd)·g_i."""
     pres = _additive_presentation(ring)
     gens, facs = pres.generators, pres.invariant_factors
-    if ring.order ** len(gens) > ENDO_SCAN_BUDGET:
-        return None
-    top = max(facs, default=1)
-    mult = np.zeros((top + 1, ring.order), dtype=np.int64)   # mult[c] = c·(-)
-    for c in range(1, top + 1):
-        mult[c] = ring.add[mult[c - 1], np.arange(ring.order)]
-    choices = [np.nonzero(mult[d] == ring.zero)[0] for d in facs]
-    coords = np.array([pres.coords_of(x) for x in range(ring.order)], dtype=np.int64)
-    count = 0
-    for images in itertools.product(*choices):
-        table = np.full(ring.order, ring.zero, dtype=np.int64)
-        for j, y in enumerate(images):
-            table = ring.add[table, mult[coords[:, j], y]]
-        if all(table[ring.mul[s, gj]] == ring.mul[s, table[gj]]
-               for s in s_members for gj in gens):
-            count += 1
-    return count
+    s_gens = _additive_generators(ring, s_members)
+    rows, dom_moduli = [], []
+    for j, i in itertools.product(range(len(facs)), repeat=2):
+        m = gcd(facs[j], facs[i])
+        if m == 1:
+            continue
+        u = _add_multiple(ring, facs[i] // m, gens[i])   # phi(g_j) = u
+        row = []
+        for s in s_gens:
+            su = pres.coords_of(int(ring.mul[s, u]))
+            for k, g in enumerate(gens):
+                c = pres.coords_of(int(ring.mul[s, g]))[j]
+                row += [(c * x - (y if k == j else 0)) % f
+                        for x, y, f in zip(pres.coords_of(u), su, facs)]
+        rows.append(row)
+        dom_moduli.append(m)
+    cod_moduli = list(facs) * (len(s_gens) * len(gens))
+    return kernel_image_orders(rows, dom_moduli, cod_moduli)[0]
 
 
 def _ideal_presentation(ring: FiniteRing, e: int) -> FinAbPresentation:
@@ -374,6 +374,31 @@ def skew_order(action: PartialAction) -> int:
     return prod(len(action.domain_members(g)) for g in range(action.group.order))
 
 
+def _rho_multiplicative(action: PartialAction) -> bool:
+    """rho(x·delta_g)·rho(y·delta_h) = rho(x·alpha_g(y)·delta_gh), both
+    evaluated at z, for x, y, z additive generators of D_g, D_h and R.
+    Both sides are additive in each of x, y and z, by distributivity and
+    because every alpha_hat_g is additive (so on a valid action; checked
+    here on generator shifts, as the reduction rests on it), so the
+    generators decide the identity on all of R*G."""
+    R, G = action.ring, action.group
+    ahat = action.alpha_hat
+    z = np.asarray(_additive_presentation(R).generators, dtype=np.int64)
+    every = np.arange(R.order)[:, None]
+    if (ahat[:, R.add[every, z]]
+            != R.add[ahat[:, every], ahat[:, z][:, None, :]]).any():
+        return False
+    gens = [np.asarray(_additive_generators(R, action.domain_members(g)),
+                       dtype=np.int64) for g in range(G.order)]
+    for g, h in itertools.product(range(G.order), repeat=2):
+        x, y = gens[g][:, None, None], gens[h][None, :, None]
+        left = R.mul[x, ahat[g][R.mul[y, ahat[h][z]]]]
+        right = R.mul[R.mul[x, ahat[g][y]], ahat[G.op(g, h)][z]]
+        if (left != right).any():
+            return False
+    return True
+
+
 def regular_representation(action: PartialAction) -> RegularRepReport:
     """rho: R*G -> additive endomorphisms of R, r·delta_g to the map
     x -> r·alpha_g(x·1_{g^-1}); reports homomorphism, injectivity, and
@@ -381,27 +406,9 @@ def regular_representation(action: PartialAction) -> RegularRepReport:
     R, G = action.ring, action.group
     S = invariant_subring(action)
     s_members = S.members
-    monomials = [(g, int(r)) for g in range(G.order)
-                 for r in action.domain_members(g)]
-    n_mono = len(monomials)
-
-    ident_ok = np.array_equal(rho_monomial(action, G.identity, R.one),
-                              np.arange(R.order))
-    sampled = n_mono * n_mono > ENDO_SCAN_BUDGET
-    rng = np.random.default_rng(0) if sampled else None
-    if sampled:
-        pair_iter = ((monomials[rng.integers(n_mono)], monomials[rng.integers(n_mono)])
-                     for _ in range(ENDO_SCAN_BUDGET // 4))
-    else:
-        pair_iter = itertools.product(monomials, monomials)
-    hom_ok = ident_ok
-    for (g, r), (h, r2) in pair_iter:
-        left = rho_monomial(action, g, r)[rho_monomial(action, h, r2)]
-        prod_r = int(R.mul[r, action.alpha_hat[g][r2]])
-        right = rho_monomial(action, G.op(g, h), prod_r)
-        if not np.array_equal(left, right):
-            hom_ok = False
-            break
+    hom_ok = (np.array_equal(rho_monomial(action, G.identity, R.one),
+                             np.arange(R.order))
+              and _rho_multiplicative(action))
 
     order = skew_order(action)
     injective = _rho_kernel_order(action) == 1
@@ -421,13 +428,11 @@ def regular_representation(action: PartialAction) -> RegularRepReport:
     bijective = None
     if endo_order is not None:
         bijective = injective and order == endo_order and hom_ok
-
-    brute = _count_linear_endos(R, s_members)
-    cross_checked = brute is not None and endo_order is not None and brute == endo_order
-    if brute is not None and endo_order is not None and brute != endo_order:
-        raise DefectError(f"endomorphism count mismatch: {brute} vs {endo_order}")
+        count = _linear_endo_order(R, s_members)
+        if count != endo_order:
+            raise DefectError(f"endomorphism count mismatch: {count} vs {endo_order}")
     return RegularRepReport(
         is_homomorphism=hom_ok, injective=injective, skew_order=order,
         invariant_order=s_order, free_rank=rank, basis=basis,
-        endo_order=endo_order, bijective=bijective, sampled=sampled,
-        cross_checked=cross_checked)
+        endo_order=endo_order, bijective=bijective,
+        cross_checked=endo_order is not None)

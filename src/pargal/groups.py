@@ -206,15 +206,14 @@ def abelian_structure(elements, op, identity) -> FinAbPresentation:
     assert len(coord) == n
 
     # relation lattice: c(x) + e_i - c(x*g_i) for all x, i
-    lat = intmat.RowLattice(k)
+    rels = []
     for x in elems:
         cx = coord[x]
         for i, g in enumerate(gens):
-            cy = coord[op(x, g)]
-            rel = [a - b for a, b in zip(cx, cy)]
+            rel = [a - b for a, b in zip(cx, coord[op(x, g)])]
             rel[i] += 1
-            lat.add(rel)
-    M = lat.basis()
+            rels.append(rel)
+    M = intmat.RowLattice(k, rels).basis()
     if len(M) != k:
         raise PreconditionError("relation lattice has deficient rank")
 
@@ -262,33 +261,19 @@ def _group_inv(op, identity, a):
 def kernel_image_orders(A, dom_moduli, cod_moduli):
     """Kernel/image orders of the map (Z/d1 x ...) -> (Z/e1 x ...) whose
     j-th domain generator maps to row j of A (codomain coordinates).
-    Returns (kernel_order, image_order, image_lattice, kernel_lattice);
-    the kernel lattice is the preimage of 0 in Z^len(dom_moduli)."""
-    kd, kc = len(dom_moduli), len(cod_moduli)
-    dom_order = prod(dom_moduli) if kd else 1
-    im_lat = intmat.RowLattice(kc)
-    for i, e in enumerate(cod_moduli):
-        row = [0] * kc
-        row[i] = e
-        im_lat.add(row)
+    Returns (kernel_order, image_order, kernel_lattice); the kernel
+    lattice is the preimage of 0 in Z^len(dom_moduli).  Its index in
+    that Z^k is the image order (first isomorphism theorem), so no image
+    lattice is built."""
     for j, d in enumerate(dom_moduli):
-        if kc and not im_lat.contains([d * x for x in A[j]]):
+        if any(d * x % e for x, e in zip(A[j], cod_moduli)):
             raise PreconditionError(
                 f"generator {j} image violates its order {d}")
-
     ker_lat = intmat.kernel_lattice(A, dom_moduli, cod_moduli)
-    cl = ker_lat.covolume()
-    assert cl and dom_order % cl == 0
-    kernel_order = dom_order // cl
-
-    for j in range(kd if kc else 0):
-        im_lat.add(A[j])
-    ce = prod(cod_moduli)
-    cim = im_lat.covolume()
-    assert cim and ce % cim == 0
-    image_order = ce // cim
-    assert kernel_order * image_order == dom_order
-    return kernel_order, image_order, im_lat, ker_lat
+    dom_order = prod(dom_moduli)
+    image_order = ker_lat.covolume()
+    assert image_order and dom_order % image_order == 0
+    return dom_order // image_order, image_order, ker_lat
 
 
 def hom_kernel_image(domain: FinAbPresentation, codomain: FinAbPresentation,
@@ -299,8 +284,11 @@ def hom_kernel_image(domain: FinAbPresentation, codomain: FinAbPresentation,
     if len(images) != len(domain.generators):
         raise PreconditionError("one image per domain generator required")
     A = [list(codomain.coords_of(y)) for y in images]
-    kernel_order, image_order, im_lat, _ = kernel_image_orders(
-        A, list(domain.invariant_factors), list(codomain.invariant_factors))
+    cod_moduli = list(codomain.invariant_factors)
+    kernel_order, image_order, _ = kernel_image_orders(
+        A, list(domain.invariant_factors), cod_moduli)
+    im_lat = intmat.RowLattice(len(cod_moduli),
+                               [*intmat.diagonal_rows(cod_moduli), *A])
     reps, seen = [], set()
     for x in codomain.elements:
         key = im_lat.residue(codomain.coords_of(x))

@@ -164,14 +164,13 @@ def kernel_lattice(A, dom_moduli, cod_moduli) -> RowLattice:
             B[nz] = (B[nz] - c[:, None] * B[p]) % d
             B[p] = B[p] * (e // g) % d
             break
-    lat = RowLattice(k)
-    for i, di in enumerate(dom_moduli):
-        row = [0] * k
-        row[i] = di
-        lat.add(row)
-    for row in B.tolist():
-        lat.add(row)
-    return lat
+    return RowLattice(k, [*diagonal_rows(dom_moduli), *B.tolist()])
+
+
+def diagonal_rows(moduli) -> list[list[int]]:
+    """Rows m_i·e_i spanning (+) m_i Z."""
+    return [[m if j == i else 0 for j in range(len(moduli))]
+            for i, m in enumerate(moduli)]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -187,18 +186,26 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 class RowLattice:
     """Canonical Hermite basis of the lattice spanned by integer row vectors.
 
-    Supports incremental insertion, membership, canonical residues, and
-    covolume.  Rows live in Z^n.
+    Supports bulk and incremental insertion, membership, canonical
+    residues, and covolume.  Rows live in Z^n.
     """
 
     def __init__(self, n: int, rows=()):
         self.n = n
         self.pivot_rows: dict[int, list[int]] = {}  # pivot column -> row
-        for r in rows:
-            self.add(r)
+        for r in rows:   # the Hermite basis is unique: normalize once
+            self._insert(r)
+        self._normalize()
 
     def add(self, row) -> bool:
         """Insert a vector; returns True if the lattice grew."""
+        grew = self._insert(row)
+        if grew:
+            self._normalize()
+        return grew
+
+    def _insert(self, row) -> bool:
+        """Echelon insertion without normalizing; True if the lattice grew."""
         v = [int(x) for x in row]
         grew = False
         while True:
@@ -219,8 +226,6 @@ class RowLattice:
                 self.pivot_rows[c] = v
                 v = b
                 grew = True
-        if grew:
-            self._normalize()
         return grew
 
     def _normalize(self):

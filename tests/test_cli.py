@@ -332,6 +332,32 @@ def test_budget_cap_names_budget(tmp_path, capsys):
     assert code == 0 and "|H|=1" in out
 
 
+@pytest.mark.parametrize("name,triples", [("E0", 729), ("E2", 512)])
+def test_crossed_budget_forces_associativity_proof(tmp_path, capsys, name,
+                                                   triples):
+    # N^3 = 13,824 monomial triples pass the cap, so the check is a proof
+    # on generator triples; nothing else in the report changes
+    full, capped = tmp_path / "full.json", tmp_path / "capped.json"
+    code1, out1, _ = run(capsys, ["crossed", "--fixture", name,
+                                  "--out", str(full)])
+    code2, out2, _ = run(capsys, ["crossed", "--fixture", name,
+                                  "--budget", "1000", "--out", str(capped)])
+    assert code1 == code2 == 0
+    lines1, lines2 = out1.splitlines(), out2.splitlines()
+    k = lines1.index("associativity: ok (13824 monomial triples, exhaustive)")
+    assert lines2[k] == (f"associativity: ok ({triples} generator triples, "
+                         "proved on additive generators of a bi-additive "
+                         "table)")
+    assert lines1[:k] + lines1[k + 1:] == lines2[:k] + lines2[k + 1:]
+    doc1, doc2 = json.loads(full.read_text()), json.loads(capped.read_text())
+    assert doc1["report"].pop("assoc") == {"triples": 13824, "sampled": False,
+                                           "ok": True}
+    assert doc2["report"].pop("assoc") == {
+        "triples": triples, "sampled": False, "ok": True,
+        "proof": "proved on additive generators of a bi-additive table"}
+    assert doc1 == doc2
+
+
 def test_bad_twist_rejected(capsys):
     code, _, err = run(capsys, ["crossed", "--fixture", "E1",
                                 "--twist", "0,0,0"])

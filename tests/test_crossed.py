@@ -351,18 +351,77 @@ def test_corrupted_table_names_first_failing_triple():
         crossed._check_associativity(alg.basis, table)
 
 
-def test_corrupted_table_sampled_names_first_failing_sample(monkeypatch):
+def test_corrupted_table_proof_names_witness(monkeypatch):
+    # past the budget the check is a proof.  D_g = {0, 1} for g = 1, so
+    # any value of (1,1)(1,1) is bi-additive: the generator triples see it
     alg, table, names = _corrupted_e1()
     monkeypatch.setattr(crossed, "ASSOC_TRIPLE_BUDGET", 100)
-    rng = random.Random(0)
-    samples = [tuple(rng.randrange(len(table)) for _ in range(3))
-               for _ in range(crossed.SAMPLED_TRIPLES)]
-    first = next(t for t in samples if _assoc_fails(table, *t))
-    want = "associativity fails on monomials " + ",".join(names[x] for x in first)
-    with pytest.raises(DefectError, match=re.escape(want) + "$"):
+    witness = (alg.basis.index(0, 1), 5, 5)
+    assert _assoc_fails(table, *witness)
+    want = ",".join(names[x] for x in witness)
+    with pytest.raises(DefectError, match=re.escape(
+            "associativity fails on monomials " + want) + "$"):
         crossed._check_associativity(alg.basis, table)
+    gens = sum(len(ts) for ts in alg.basis.generators)
     assert crossed._check_associativity(alg.basis, alg.table) == \
-        crossed.AssocReport(crossed.SAMPLED_TRIPLES, True, True)
+        crossed.AssocReport(gens ** 3, False, True, on_generators=True)
+
+
+def _exhaustive_assoc_ok(table):
+    return all((table[table[i]] == table[i][table]).all()
+               for i in range(len(table)))
+
+
+def _twisted_table(act, f11):
+    """Table of the product twisted by the identity cochain with f(1,1)
+    replaced: bi-additive and graded, associative iff the twist is a
+    cocycle."""
+    R = act.ring
+    twist = np.array([[coh.corner_idem(act, (g, h))
+                       for h in range(act.group.order)]
+                      for g in range(act.group.order)], dtype=np.int64)
+    twist[0, 0] = f11
+    basis = crossed._monomial_basis(act)
+    grade = basis.grade
+    values = R.mul[crossed._theta_values(act, basis),
+                   twist[grade[:, None], grade[None, :]]]
+    return basis, crossed._index_table(act, basis, values)
+
+
+def test_proof_names_failing_generator_triple(monkeypatch):
+    act = fixtures.fixture("E2")
+    R = act.ring
+    u = next(x for x in range(R.order)
+             if int(R.mul[x, act.one(1)]) != act.one(1)
+             and any(int(R.mul[x, y]) == R.one for y in range(R.order)))
+    basis, table = _twisted_table(act, u)
+    assert not _exhaustive_assoc_ok(table)
+    monkeypatch.setattr(crossed, "ASSOC_TRIPLE_BUDGET", 100)
+    with pytest.raises(DefectError, match="associativity fails on monomials"
+                       ) as err:
+        crossed._check_associativity(basis, table)
+    named = re.findall(r"\((\d+),(\d+)\)", str(err.value))
+    i, j, k = (basis.index(int(g), int(d)) for g, d in named)
+    assert _assoc_fails(table, i, j, k)
+    for x in (i, j, k):
+        g = int(basis.grade[x])
+        assert int(basis.coeff[x]) in basis.generators[g]
+
+
+@pytest.mark.parametrize("name", ["E3", "f4c4", "f2c6g"])
+def test_proof_catches_single_entry_corruptions(name, stress_action):
+    act = fixtures.fixture(name) if name[0] == "E" else stress_action(name)
+    alg = crossed.skew_group_ring(act)
+    assert alg.assoc.on_generators and not alg.assoc.sampled
+    basis, table = alg.basis, alg.table
+    rng = random.Random(0)
+    for _ in range(10):
+        i, j = rng.randrange(len(table)), rng.randrange(len(table))
+        same = np.flatnonzero(basis.grade == basis.grade[table[i, j]])
+        bad = table.copy()
+        bad[i, j] = rng.choice([int(k) for k in same if k != table[i, j]])
+        with pytest.raises(DefectError):
+            crossed._check_associativity(basis, bad)
 
 
 # one changed factor-set entry per check; each message is the one the
@@ -439,7 +498,28 @@ def test_non_multiplicative_map_names_first_pair():
         crossed._verify_iso(skew, skew, scale)
 
 
-def test_e3_crossed_still_sampled(capsys):
+def test_e3_crossed_proved_on_generators(capsys):
     assert cli.main(["crossed", "--fixture", "E3"]) == 0
     out = capsys.readouterr().out
-    assert "associativity: ok (20000 monomial triples, sampled)" in out
+    assert ("associativity: ok (5832 generator triples, proved on additive "
+            "generators of a bi-additive table)") in out
+
+
+def test_theta_fast_path_checks_additivity(monkeypatch):
+    act = fixtures.fixture("E3")
+    basis = crossed._monomial_basis(act)
+    g = 1
+    t1, t2 = basis.generators[g][:2]
+    i = basis.index(g, int(act.ring.add[t1, t2]))   # not a generator
+    honest = crossed._theta_values
+
+    def corrupted(action, b):
+        values = honest(action, b).copy()
+        values[i, 0] = act.ring.add[values[i, 0], act.one(g)]
+        return values
+
+    assert not crossed.theta_factor_set(act).exhaustive
+    monkeypatch.setattr(crossed, "_theta_values", corrupted)
+    with pytest.raises(DefectError,
+                       match=r"^factor set not additive in slot 1 at "):
+        crossed.theta_factor_set(act)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -114,7 +115,7 @@ def test_regular_representation_e1():
     assert rep.free_rank == 2
     assert rep.endo_order == 16
     assert rep.bijective
-    assert rep.cross_checked and not rep.sampled
+    assert rep.cross_checked
 
 
 def test_regular_representation_e0():
@@ -142,6 +143,96 @@ def test_regular_representation_trivial_not_bijective():
     assert rep.skew_order == 4
     assert rep.endo_order == 2
     assert rep.bijective is False
+
+
+def _count_linear_endos(ring, s_members):
+    """Brute-force |End_S(R)|: assign images to additive generators,
+    keep assignments that extend to additive maps and commute with S.
+    Additive extension is automatic once each image's additive order
+    divides its generator's; S-linearity then only needs checking at the
+    generators (both sides are additive in the other argument)."""
+    pres = galois._additive_presentation(ring)
+    gens, facs = pres.generators, pres.invariant_factors
+    top = max(facs, default=1)
+    mult = np.zeros((top + 1, ring.order), dtype=np.int64)   # mult[c] = c·(-)
+    for c in range(1, top + 1):
+        mult[c] = ring.add[mult[c - 1], np.arange(ring.order)]
+    choices = [np.nonzero(mult[d] == ring.zero)[0] for d in facs]
+    coords = np.array([pres.coords_of(x) for x in range(ring.order)],
+                      dtype=np.int64)
+    count = 0
+    for images in itertools.product(*choices):
+        table = np.full(ring.order, ring.zero, dtype=np.int64)
+        for j, y in enumerate(images):
+            table = ring.add[table, mult[coords[:, j], y]]
+        if all(table[ring.mul[s, gj]] == ring.mul[s, table[gj]]
+               for s in s_members for gj in gens):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("name,want", [
+    ("E0", 512), ("E1", 16), ("E2", 256), ("N1", 2)])
+def test_endo_count_matches_brute_force(name, want):
+    act = fixtures.fixture(name)
+    members = invariant_subring(act).members
+    assert _count_linear_endos(act.ring, members) == want
+    assert galois._linear_endo_order(act.ring, members) == want
+
+
+@pytest.mark.parametrize("name,want", [
+    ("E3", 262_144), ("f4c4", 262_144), ("f8c3", 4_096), ("f2c6g", 2 ** 36)])
+def test_endo_count_matches_free_rank(name, want, stress_action):
+    act = fixtures.fixture(name) if name[0] == "E" else stress_action(name)
+    members = invariant_subring(act).members
+    assert galois._linear_endo_order(act.ring, members) == want
+    rep = galois.regular_representation(act)
+    assert rep.endo_order == len(members) ** (rep.free_rank ** 2) == want
+    assert rep.cross_checked
+
+
+def _rho_multiplicative_by_pairs(act):
+    """rho(r·delta_g)·rho(r2·delta_h) = rho(r·alpha_g(r2)·delta_gh) on
+    every pair of monomials."""
+    R, G = act.ring, act.group
+    monos = [(g, int(r)) for g in range(G.order) for r in act.domain_members(g)]
+    for (g, r), (h, r2) in itertools.product(monos, monos):
+        left = galois.rho_monomial(act, g, r)[galois.rho_monomial(act, h, r2)]
+        prod_r = int(R.mul[r, act.alpha_hat[g][r2]])
+        if not np.array_equal(left, galois.rho_monomial(act, G.op(g, h), prod_r)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["E0", "E1", "E2", "N1"])
+def test_rho_generator_check_matches_pair_loop(name):
+    act = fixtures.fixture(name)
+    assert _rho_multiplicative_by_pairs(act)
+    assert galois._rho_multiplicative(act)
+
+
+def _with_alpha_hat(base, g, r, value):
+    act = copy.copy(base)
+    table = base.alpha_hat.copy()
+    table[g, r] = value
+    act.__dict__["alpha_hat"] = table   # the cached property's slot
+    return act
+
+
+def test_rho_generator_check_fails_on_corrupted_alpha():
+    base = fixtures.fixture("E1")
+    R = base.ring
+    act = _with_alpha_hat(base, 1, 1, 1)   # alpha_g(1·1_{g^-1}) was 0
+    assert not _rho_multiplicative_by_pairs(act)
+    assert not galois._rho_multiplicative(act)
+    assert not galois.regular_representation(act).is_homomorphism
+    # on every single-entry corruption the generator check is at least as
+    # strict as the pair loop
+    for g, r, v in itertools.product(range(base.group.order), range(R.order),
+                                     range(R.order)):
+        act = _with_alpha_hat(base, g, r, v)
+        if not _rho_multiplicative_by_pairs(act):
+            assert not galois._rho_multiplicative(act)
 
 
 def _rho_injective_by_enumeration(act):

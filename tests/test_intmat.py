@@ -123,6 +123,18 @@ def test_row_lattice_residue_is_canonical():
                             zip(v, lat.basis()[rng.randrange(lat.rank())])]) == r
 
 
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-30, 30), min_size=n, max_size=n), max_size=8)))
+def test_row_lattice_bulk_matches_row_by_row(rows):
+    n = len(rows[0]) if rows else 3
+    one_by_one = intmat.RowLattice(n)
+    for r in rows:
+        one_by_one.add(r)
+    bulk = intmat.RowLattice(n, rows)
+    assert bulk.basis() == one_by_one.basis()
+    assert bulk.covolume() == one_by_one.covolume()
+
+
 def test_row_lattice_full_integer_lattice():
     lat = intmat.RowLattice(2)
     lat.add([1, 0])
