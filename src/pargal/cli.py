@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cohomology, crossed, fixtures, galois, picsemi
+from . import __version__, cohomology, crossed, fixtures, galois
 from .cohomology import Cochain, cohomology_group, identity_cochain
 from .config import ConfigError, build_tables, parse_config
 from .crossed import crossed_product

@@ -7,6 +7,12 @@ search) and a structure engine (corner unit presentations, generator
 matrices for delta, kernel and image lattices).  Both list B^n as the
 subgroup generated by the coboundaries of the corner-unit generators.
 They agree wherever both run, and tests insist on it.
+
+The engines and the witness search evaluate delta^n on whole blocks of
+value tables through a face plan, cached per (action, n): the flat index,
+sign and corner of each face of every (n+1)-position, the shift row g1
+and a dense corner-inverse table, so one block costs n+2 gathers.  The
+scalar coboundary stays the per-cochain path and the kernel's oracle.
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ ENUM_SCAN_BUDGET = 10_000_000   # refuse full scans beyond this many cochains
 DFS_NODE_BUDGET = 10_000_000    # kernel search node budget
 MATERIALIZE_BUDGET = 1_000_000  # coset minimisation / presentation budget
 COCHAIN_SIZE_BUDGET = 10_000_000
+BATCH_CELLS = 1 << 16           # output cells per _delta_batch call in scans
 
 
 # ---------------------------------------------------------------- cochains
@@ -59,6 +66,20 @@ def corner_idem(action: PartialAction, gs: tuple[int, ...]) -> int:
     for g in gs:
         acc = G.op(acc, g)
         e = int(R.mul[e, action.one(acc)])
+    return e
+
+
+@lru_cache(maxsize=64)
+def _corners(action: PartialAction, n: int) -> np.ndarray:
+    """corner_idem of every position of G^n, flat and lexicographic, as a
+    read-only array built one tuple entry at a time."""
+    R, G = action.ring, action.group
+    acc = np.array([G.identity])
+    e = np.array([R.one], dtype=np.int64)
+    for _ in range(n):
+        acc = G.table[acc].ravel()
+        e = R.mul[np.repeat(e, G.order), action.one_g[acc]]
+    e.flags.writeable = False
     return e
 
 
@@ -195,14 +216,62 @@ def coboundary(action: PartialAction, f: Cochain) -> Cochain:
     return Cochain(action, f.n + 1, vals)
 
 
+@lru_cache(maxsize=64)
+def _face_plan(action: PartialAction, n: int):
+    """The faces of delta^n over every position of G^(n+1), as arrays.
+
+    Returns (faces, g1, inv).  faces lists, in _faces order, each face's
+    flat index into G^n, its sign and the corner id of the face position;
+    g1 is the shift row; inv[corner id, r] is r's corner inverse, or -1.
+    """
+    G = action.group
+    nG = G.order
+    gs = np.indices((nG,) * (n + 1)).reshape(n + 1, -1)
+    cols = [gs[1:]]
+    cols += [[*gs[:i - 1], G.table[gs[i - 1], gs[i]], *gs[i + 1:]]
+             for i in range(1, n + 1)]
+    cols.append(gs[:n])
+    signs = [1] + [-1 if i % 2 else 1 for i in range(1, n + 2)]
+    inv_map, _ = _machinery(action)
+    idems = sorted(inv_map)
+    corner_id = np.searchsorted(idems, _corners(action, n))
+    faces = []
+    for face, sign in zip(cols, signs):
+        idx = np.zeros(gs.shape[1], dtype=np.int64)
+        for col in face:
+            idx = idx * nG + col
+        faces.append((idx, sign, corner_id[idx]))
+    inv = np.stack([inv_map[e] for e in idems])
+    return tuple(faces), gs[0].copy(), inv
+
+
+def _delta_batch(action: PartialAction, n: int, tables) -> np.ndarray:
+    """delta^n of each row of a (B, |G|^n) block of value tables, as a
+    (B, |G|^(n+1)) block: one gather per face, as in _delta_value."""
+    faces, g1, inv = _face_plan(action, n)
+    mul = action.ring.mul
+    out = None
+    for k, (idx, sign, corner) in enumerate(faces):
+        v = tables[:, idx]
+        if sign < 0:
+            v = inv[corner, v]
+            if (v < 0).any():
+                face = positions(action, n)[idx[np.argwhere(v < 0)[0][1]]]
+                raise PreconditionError(
+                    f"no corner inverse at {face}: input is not a cochain")
+        if k == 0:
+            v = action.alpha_hat[g1, v]
+        out = v if out is None else mul[out, v]
+    return out
+
+
 # ---------------------------------------------------------------- engines
 
 def _position_data(action: PartialAction, n: int):
     _, unit_lists = _machinery(action)
-    pos = positions(action, n)
-    corners = [corner_idem(action, gs) for gs in pos]
+    corners = _corners(action, n).tolist()
     units = [unit_lists[e] for e in corners]
-    return pos, corners, units
+    return positions(action, n), corners, units
 
 
 def cochain_space_size(action: PartialAction, n: int) -> int:
@@ -227,20 +296,18 @@ def _kernel_dfs(action: PartialAction, n: int) -> list[tuple[int, ...]]:
     each closed constraint prunes the branch immediately.  The node
     budget bounds work on adversarial inputs.
     """
-    R, G = action.ring, action.group
-    nG = G.order
+    R = action.ring
     pos, corners, units = _position_data(action, n)
     P = len(pos)
     inv_map, _ = _machinery(action)
 
     # constraints: one per (n+1)-tuple; factor slots refer to positions
-    cons = []
-    for gs in positions(action, n + 1):
-        target = corner_idem(action, gs)
-        slots = []
-        for face, sign, shifted in _faces(action, n, gs):
-            slots.append((_flat_index(nG, face), sign, shifted))
-        cons.append((gs[0], slots, target))
+    faces, g1, _ = _face_plan(action, n)
+    faces = [(idx.tolist(), sign, k == 0)
+             for k, (idx, sign, _) in enumerate(faces)]
+    cons = [(g, [(idx[q], sign, shifted) for idx, sign, shifted in faces], e)
+            for q, (g, e) in enumerate(zip(g1.tolist(),
+                                           _corners(action, n + 1).tolist()))]
     touching = [[] for _ in range(P)]
     for ci, (_, slots, _) in enumerate(cons):
         for p, _, _ in slots:
@@ -319,7 +386,7 @@ def _image_rows(action: PartialAction, n: int) -> np.ndarray:
     if n == 0:
         raise ValueError("B^0 is trivial by convention")
     R = action.ring
-    images, _, cod = _generator_images(action, n - 1)
+    gens, _, cod = _generator_images(action, n - 1)
     dtype = np.min_scalar_type(R.order - 1)
     width = len(cod[0])
     key_type = np.dtype((np.void, width * dtype.itemsize))
@@ -330,7 +397,6 @@ def _image_rows(action: PartialAction, n: int) -> np.ndarray:
     def rows_of(ks):
         return np.frombuffer(b"".join(ks), dtype=dtype).reshape(-1, width)
 
-    gens = np.array(images, dtype=np.int64).reshape(-1, width)
     found = keys(np.array([cod[1]]))   # the identity cochain
     seen = set(found)
     frontier = rows_of(found)
@@ -466,20 +532,10 @@ def _generator_images(action: PartialAction, n: int):
     dom = _space_presentations(action, n)
     cod = _space_presentations(action, n + 1)
     _, ident_d, pres_d, _, _ = dom
-    images = []
-    for i, p in enumerate(pres_d):
-        for g in p.generators:
-            table = list(ident_d)
-            table[i] = g
-            if n == 0:
-                def lookup(face, _v=g):
-                    return _v
-            else:
-                def lookup(face, _t=table):
-                    return _t[_flat_index(nG, face)]
-            images.append([_delta_value(action, n, gs, lookup)
-                           for gs in cod[0]])
-    return images, dom, cod
+    at = [i for i, p in enumerate(pres_d) for _ in p.generators]
+    tables = np.tile(np.array(ident_d, dtype=np.int64), (len(at), 1))
+    tables[np.arange(len(at)), at] = [g for p in pres_d for g in p.generators]
+    return _delta_batch(action, n, tables), dom, cod
 
 
 def _delta_matrix(action: PartialAction, n: int):
@@ -488,7 +544,7 @@ def _delta_matrix(action: PartialAction, n: int):
     images, dom, cod = _generator_images(action, n)
     _, _, pres_c, mod_c, off_c = cod
     rows = [_coords_of_table(img, pres_c, off_c, len(mod_c))
-            for img in images]
+            for img in images.tolist()]
     return rows, dom, cod
 
 
@@ -524,7 +580,7 @@ def _structure_engine(action: PartialAction, n: int) -> CohomologyGroup:
     # H = kernel lattice / (image lattice of delta^(n-1) + moduli lattice)
     b_lat = intmat.RowLattice(kd, [*intmat.diagonal_rows(mod_d), *rows_prev])
     K = lam.basis()
-    coeffs = [_solve_triangular(K, list(b)) for b in b_lat.basis()]
+    coeffs = _solve_triangular(K, b_lat.basis())
     diag, U, V, Uinv, Vinv = intmat.smith_normal_form(coeffs)
     keep = [i for i, d in enumerate(diag) if d > 1]
     h_order = prod(diag[i] for i in keep) if keep else 1
@@ -585,22 +641,25 @@ def _structure_engine(action: PartialAction, n: int) -> CohomologyGroup:
                            lex_least=lex)
 
 
-def _solve_triangular(basis_rows, target):
-    """Integer coefficients expressing target in a RowLattice basis."""
-    coeff = []
-    v = list(target)
+def _solve_triangular(basis_rows, targets):
+    """Integer coefficients expressing each target in a RowLattice basis,
+    in pivot order."""
     rows = {next(i for i, x in enumerate(r) if x): r for r in basis_rows}
-    out = [0] * len(basis_rows)
-    ordered = sorted(rows)
-    for k, c in enumerate(ordered):
-        r = rows[c]
-        if v[c] % r[c]:
+    ordered = sorted(rows.items())
+    out = []
+    for target in targets:
+        v = list(target)
+        coeffs = [0] * len(basis_rows)
+        for k, (c, r) in enumerate(ordered):
+            q, rem = divmod(v[c], r[c])
+            if rem:
+                raise DefectError("image vector outside kernel lattice")
+            if q:
+                coeffs[k] = q
+                v[c:] = [a - q * b for a, b in zip(v[c:], r[c:])]
+        if any(v):
             raise DefectError("image vector outside kernel lattice")
-        q = v[c] // r[c]
-        out[k] = q
-        v = [a - q * b for a, b in zip(v, r)]
-    if any(v):
-        raise DefectError("image vector outside kernel lattice")
+        out.append(coeffs)
     return out
 
 
@@ -673,16 +732,14 @@ def cohomologous(action: PartialAction, f: Cochain, f2: Cochain):
     if f.n != f2.n or f.n not in (1, 2):
         raise PreconditionError("witness search supports arities 1 and 2")
     n = f.n
-    R = action.ring
-    nG = action.group.order
-    target = cochain_mul(f, cochain_inv(f2)).value_tuple()
-    pos_out = positions(action, n)
-    for table in _enumerate_cochains(action, n - 1):
-        def lookup(face, _t=table):
-            return _t[_flat_index(nG, face)]
-        img = tuple(_delta_value(action, n - 1, gs, lookup) for gs in pos_out)
-        if img == target:
-            return Cochain(action, n - 1, np.array(table, dtype=np.int64))
+    target = cochain_mul(f, cochain_inv(f2)).values
+    tables = _enumerate_cochains(action, n - 1)
+    chunk = max(1, BATCH_CELLS // len(target))
+    while block := list(itertools.islice(tables, chunk)):
+        block = np.array(block, dtype=np.int64)
+        hits = (_delta_batch(action, n - 1, block) == target).all(axis=1)
+        if hits.any():
+            return Cochain(action, n - 1, block[hits.argmax()].copy())
     return None
 
 

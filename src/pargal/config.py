@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
 from .finring import (FiniteRing, frobenius_table, make_ring,
                       product_automorphism)
 from .groups import FiniteGroup, make_group

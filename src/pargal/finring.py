@@ -15,7 +15,7 @@ contract:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 

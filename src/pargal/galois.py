@@ -22,7 +22,7 @@ import numpy as np
 
 from . import intmat
 from .errors import DefectError, PreconditionError
-from .finring import FiniteRing, Subring, _additive_span, primitive_idempotents
+from .finring import FiniteRing, _additive_span, primitive_idempotents
 from .groups import FinAbPresentation, abelian_structure, kernel_image_orders
 from .partial_action import PartialAction, _additive_generators, invariant_subring
 

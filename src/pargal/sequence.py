@@ -9,9 +9,7 @@ reported without a prediction: the sequence only maps into it.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pargal import cohomology as coh
-from pargal import fixtures
-from pargal.errors import BudgetError, PreconditionError
+from pargal import fixtures, groups, intmat
+from pargal.errors import BudgetError, DefectError, PreconditionError
 
 
 def _random_cochain(action, n, rng):
@@ -133,6 +133,132 @@ def test_z2_shape_matches_direct_formula():
         assert direct == (tuple(table) in z2)
         checked += 1
     assert checked >= 27
+
+
+# ---------------------------------------------------- batched delta kernel
+
+KERNEL_INSTANCES = ("E0", "E1", "E2", "E3", "N1", "f4c4", "f8c3", "f2c6g")
+
+
+def _instance(name, stress_action):
+    return fixtures.fixture(name) if name[0] in "EN" else stress_action(name)
+
+
+def _kernel_arities(act):
+    return [n for n in range(4) if n < 3 or act.group.order ** 4 <= 256]
+
+
+def _generator_tables(act, n):
+    """The identity n-cochain with one position moved to a generator of
+    its corner's unit group, one table per (position, generator)."""
+    ident = coh._corners(act, n)
+    out = []
+    for i, e in enumerate(ident.tolist()):
+        for g in coh._corner_presentation(act, e).generators:
+            table = ident.copy()
+            table[i] = g
+            out.append(table)
+    return np.array(out, dtype=np.int64).reshape(-1, len(ident))
+
+
+def _scalar_images(act, n, tables):
+    return np.array([coh.coboundary(act, coh.Cochain(act, n, t)).values
+                     for t in tables],
+                    dtype=np.int64).reshape(-1, act.group.order ** (n + 1))
+
+
+@pytest.mark.parametrize("name", KERNEL_INSTANCES)
+def test_delta_batch_matches_scalar_coboundary(name, stress_action):
+    act = _instance(name, stress_action)
+    rng = random.Random(17)
+    for n in _kernel_arities(act):
+        gens = _generator_tables(act, n)
+        assert np.array_equal(coh._delta_batch(act, n, gens),
+                              _scalar_images(act, n, gens))
+        assert np.array_equal(coh._generator_images(act, n)[0],
+                              _scalar_images(act, n, gens))
+        rand = np.array([_random_cochain(act, n, rng).values
+                         for _ in range(50)])
+        assert np.array_equal(coh._delta_batch(act, n, rand),
+                              _scalar_images(act, n, rand))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_non_unit_at_negative_face_raises_on_both_paths(n):
+    act = fixtures.fixture("E2")
+    R = act.ring
+    table = coh._corners(act, n).copy()
+    table[0] = R.zero   # the corner at (1,..,1) is R: 0 is no unit there
+    nG = act.group.order
+
+    def lookup(face):
+        return int(table[coh._flat_index(nG, face)])
+
+    with pytest.raises(PreconditionError, match="no corner inverse"):
+        for gs in coh.positions(act, n + 1):
+            coh._delta_value(act, n, gs, lookup)
+    with pytest.raises(PreconditionError, match="no corner inverse"):
+        coh._delta_batch(act, n, table[None, :])
+
+
+@pytest.mark.parametrize("name", KERNEL_INSTANCES)
+def test_corners_match_corner_idem(name, stress_action):
+    act = _instance(name, stress_action)
+    for n in range(4):
+        assert coh._corners(act, n).tolist() == [
+            coh.corner_idem(act, gs) for gs in coh.positions(act, n)]
+
+
+def test_generator_images_refuses_before_building_a_plan(monkeypatch):
+    act = fixtures.fixture("E2")
+    coh._face_plan.cache_clear()
+    coh._corners.cache_clear()
+    monkeypatch.setattr(coh, "STRUCTURE_POSITION_BUDGET", 26)   # |G^3| = 27
+    with pytest.raises(BudgetError) as info:
+        coh._generator_images(act, 2)
+    assert info.value.budget == "structure-positions"
+    assert coh._face_plan.cache_info().currsize == 0
+    assert coh._corners.cache_info().currsize == 0
+
+
+def _solve_one(basis_rows, target):
+    """The per-target triangular solve, kept as the oracle."""
+    v = list(target)
+    rows = {next(i for i, x in enumerate(r) if x): r for r in basis_rows}
+    out = [0] * len(basis_rows)
+    for k, c in enumerate(sorted(rows)):
+        r = rows[c]
+        if v[c] % r[c]:
+            raise DefectError("image vector outside kernel lattice")
+        q = v[c] // r[c]
+        out[k] = q
+        v = [a - q * b for a, b in zip(v, r)]
+    if any(v):
+        raise DefectError("image vector outside kernel lattice")
+    return out
+
+
+@pytest.mark.parametrize("name", ["E3", "f4c4"])
+def test_batched_solve_matches_per_target(name, stress_action):
+    act = _instance(name, stress_action)
+    rows_n, dom, cod = coh._delta_matrix(act, 3)
+    mod_d = dom[3]
+    _, _, lam = groups.kernel_image_orders(rows_n, mod_d, cod[3])
+    rows_prev, _, _ = coh._delta_matrix(act, 2)
+    b_lat = intmat.RowLattice(len(mod_d),
+                              [*intmat.diagonal_rows(mod_d), *rows_prev])
+    K, targets = lam.basis(), b_lat.basis()
+    assert len(targets) > 0
+    assert coh._solve_triangular(K, targets) == [
+        _solve_one(K, t) for t in targets]
+    # a unit vector outside the kernel lattice is refused by both
+    units = ([int(i == j) for j in range(len(mod_d))]
+             for i in range(len(mod_d)))
+    outside = next(v for v in units if not lam.contains(v))
+    with pytest.raises(DefectError):
+        _solve_one(K, outside)
+    with pytest.raises(DefectError):
+        coh._solve_triangular(K, [outside])
 
 
 # ---------------------------------------------------- orders (frozen)
