@@ -17,53 +17,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cohomology, crossed, fixtures, galois
+from . import __version__, fixtures
 from .cohomology import Cochain, cohomology_group, identity_cochain
 from .config import ConfigError, build_tables, parse_config
 from .crossed import crossed_product
 from .errors import BudgetError, DefectError, PreconditionError
 from .finring import idempotents
 from .galois import GaloisCertificate, find_certificate, verify_certificate
-from .partial_action import (GlobalAction, PartialAction, invariant_subring,
-                             orbit_report, restrict_global, validate)
+from .partial_action import (Budgets, GlobalAction, PartialAction,
+                             invariant_subring, orbit_report, restrict_global,
+                             validate)
 from .picsemi import COLLAPSE_NOTE, pics_monoid, star_action, z1_pics
 from .sequence import consequence_check, delta_theta_brauer_class
 
 STRUCTURE_HEAD = 12  # structure-constant lines shown on stdout
-
-_BUDGET_KNOBS = (
-    (cohomology, ("ENUM_SCAN_BUDGET", "DFS_NODE_BUDGET", "MATERIALIZE_BUDGET",
-                  "COCHAIN_SIZE_BUDGET", "STRUCTURE_POSITION_BUDGET")),
-    (galois, ("SEARCH_BUDGET", "LATTICE_BUDGET", "BASIS_NODE_BUDGET")),
-    (crossed, ("ASSOC_TRIPLE_BUDGET", "ELEMENT_ITER_BUDGET")),
-)
-
-
-@contextmanager
-def _capped(n):
-    if n is None:
-        yield
-        return
-    if n < 1:
-        raise ConfigError("--budget must be a positive integer")
-    saved = []
-    for mod, names in _BUDGET_KNOBS:
-        for name in names:
-            cur = getattr(mod, name)
-            saved.append((mod, name, cur))
-            setattr(mod, name, min(cur, n))
-    try:
-        yield
-    finally:
-        for mod, name, cur in saved:
-            setattr(mod, name, cur)
-
 
 @dataclass
 class Instance:
@@ -73,13 +45,15 @@ class Instance:
     one_g: np.ndarray
     alpha: np.ndarray
     tag: str = ""
+    budgets: Budgets = Budgets()
     _action: PartialAction | None = field(default=None, repr=False)
 
     @property
     def action(self) -> PartialAction:
         if self._action is None:
             self._action = PartialAction(self.ring, self.group, self.one_g,
-                                         self.alpha, tag=self.tag)
+                                         self.alpha, tag=self.tag,
+                                         budgets=self.budgets)
         return self._action
 
     def doc(self) -> dict:
@@ -90,10 +64,19 @@ class Instance:
 
 
 def _resolve(args) -> Instance:
+    budgets = Budgets()
+    if args.budget is not None:
+        if args.budget < 1:
+            raise ConfigError("--budget must be a positive integer")
+        budgets = budgets.capped(args.budget)
     if (args.fixture is None) == (args.config is None):
         raise ConfigError("choose exactly one of --fixture or --config")
     if args.fixture is not None:
         act = fixtures.fixture(args.fixture)
+        if budgets != act.budgets:
+            # a fresh action, so no cache entry of the shared fixture
+            # answers under budgets other than its own
+            act = replace(act, budgets=budgets)
         return Instance(label=f"fixture {args.fixture.strip().upper()}",
                         ring=act.ring, group=act.group, one_g=act.one_g,
                         alpha=act.alpha, tag=act.tag, _action=act)
@@ -105,7 +88,8 @@ def _resolve(args) -> Instance:
     ring, group, one_g, alpha = build_tables(cfg)
     return Instance(label=f"config {args.config}", ring=ring, group=group,
                     one_g=one_g, alpha=alpha,
-                    tag=f"{cfg.ring_tag}/{cfg.group_tag}/{cfg.kind}")
+                    tag=f"{cfg.ring_tag}/{cfg.group_tag}/{cfg.kind}",
+                    budgets=budgets)
 
 
 # ------------------------------------------------------------- commands
@@ -291,7 +275,8 @@ def cmd_census(args, inst: Instance):
             "census needs a global action: a global fixture (E0, E3) or a "
             "generator config without an idempotent restriction")
     R = act.ring
-    glob = GlobalAction(R, act.group, act.alpha.copy(), tag=act.tag)
+    glob = GlobalAction(R, act.group, act.alpha.copy(), tag=act.tag,
+                        budgets=act.budgets)
     rows = []
     for e in idempotents(R):
         sub = restrict_global(glob, e, tag=f"corner {R.names[e]}")
@@ -383,9 +368,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        with _capped(args.budget):
-            inst = _resolve(args)
-            lines, doc, code = args.handler(args, inst)
+        inst = _resolve(args)
+        lines, doc, code = args.handler(args, inst)
         header = [f"command: {args.command}", f"instance: {inst.label}"]
         sys.stdout.write("\n".join(header + lines) + "\n")
         if args.out:

@@ -29,10 +29,6 @@ from .finring import corner_units
 from .groups import FinAbPresentation
 from .partial_action import PartialAction
 
-ENUM_SCAN_BUDGET = 10_000_000   # refuse full scans beyond this many cochains
-DFS_NODE_BUDGET = 10_000_000    # kernel search node budget
-MATERIALIZE_BUDGET = 1_000_000  # coset minimisation / presentation budget
-COCHAIN_SIZE_BUDGET = 10_000_000
 BATCH_CELLS = 1 << 16           # output cells per _delta_batch call in scans
 
 
@@ -92,8 +88,9 @@ class Cochain:
     def __post_init__(self):
         G = self.action.group
         size = G.order ** self.n
-        if size > COCHAIN_SIZE_BUDGET:
-            raise BudgetError("cochain-size", COCHAIN_SIZE_BUDGET, size)
+        limit = self.action.budgets.cochain_size
+        if size > limit:
+            raise BudgetError("cochain-size", limit, size)
         if self.values.shape != (size,):
             raise ValueError(f"expected {size} values for arity {self.n}")
         inv_map, _ = _machinery(self.action)
@@ -283,8 +280,9 @@ def _enumerate_cochains(action: PartialAction, n: int):
     """Iterate every n-cochain value table in lexicographic order."""
     _, _, units = _position_data(action, n)
     total = cochain_space_size(action, n)
-    if total > ENUM_SCAN_BUDGET:
-        raise BudgetError("cochain-scan", ENUM_SCAN_BUDGET, total)
+    limit = action.budgets.cochain_scan
+    if total > limit:
+        raise BudgetError("cochain-scan", limit, total)
     return itertools.product(*units)
 
 
@@ -337,6 +335,7 @@ def _kernel_dfs(action: PartialAction, n: int) -> list[tuple[int, ...]]:
 
     ahat = action.alpha_hat
     mul = R.mul
+    limit = action.budgets.kernel_dfs_nodes
     assign = [-1] * P
     results = []
     nodes = 0
@@ -361,8 +360,8 @@ def _kernel_dfs(action: PartialAction, n: int) -> list[tuple[int, ...]]:
         p = order[depth]
         for v in units[p]:
             nodes += 1
-            if nodes > DFS_NODE_BUDGET:
-                raise BudgetError("kernel-dfs-nodes", DFS_NODE_BUDGET, nodes)
+            if nodes > limit:
+                raise BudgetError("kernel-dfs-nodes", limit, nodes)
             assign[p] = v
             if all(check(ci) for ci in closes[depth]):
                 dfs(depth + 1)
@@ -397,6 +396,7 @@ def _image_rows(action: PartialAction, n: int) -> np.ndarray:
     def rows_of(ks):
         return np.frombuffer(b"".join(ks), dtype=dtype).reshape(-1, width)
 
+    limit = action.budgets.materialize
     found = keys(np.array([cod[1]]))   # the identity cochain
     seen = set(found)
     frontier = rows_of(found)
@@ -407,8 +407,8 @@ def _image_rows(action: PartialAction, n: int) -> np.ndarray:
                 if key not in seen:
                     seen.add(key)
                     fresh.append(key)
-            if len(seen) > MATERIALIZE_BUDGET:
-                raise BudgetError("materialize", MATERIALIZE_BUDGET, len(seen))
+            if len(seen) > limit:
+                raise BudgetError("materialize", limit, len(seen))
         found += fresh
         frontier = rows_of(fresh)
     out = rows_of(found)
@@ -518,17 +518,14 @@ def _table_from_coords(vec, pres, offsets):
     return tuple(out)
 
 
-STRUCTURE_POSITION_BUDGET = 200_000
-
-
 def _generator_images(action: PartialAction, n: int):
     """delta^n of each corner-unit generator cochain (the identity cochain
     with one position moved to a generator of its corner's unit group), as
     value tables, together with both spaces' descriptions."""
-    nG = action.group.order
-    if nG ** (n + 1) > STRUCTURE_POSITION_BUDGET:
-        raise BudgetError("structure-positions", STRUCTURE_POSITION_BUDGET,
-                          nG ** (n + 1))
+    size = action.group.order ** (n + 1)
+    limit = action.budgets.structure_positions
+    if size > limit:
+        raise BudgetError("structure-positions", limit, size)
     dom = _space_presentations(action, n)
     cod = _space_presentations(action, n + 1)
     _, ident_d, pres_d, _, _ = dom
@@ -626,8 +623,8 @@ def _structure_engine(action: PartialAction, n: int) -> CohomologyGroup:
         for v in rep_vecs]
 
     lex = False
-    if z_order <= MATERIALIZE_BUDGET and b_order * len(rep_tables) \
-            <= MATERIALIZE_BUDGET:
+    limit = action.budgets.materialize
+    if z_order <= limit and b_order * len(rep_tables) <= limit:
         b_rows = _materialize_image(action, n)
         if b_rows is not None:
             rep_tables = [_lex_least_row(R.mul[list(t), b_rows])

@@ -25,11 +25,13 @@ from math import prod
 import numpy as np
 
 from .cohomology import Cochain, coboundary, cochain_mul, identity_cochain
-from .errors import BudgetError, DefectError, PreconditionError
-from .partial_action import PartialAction, _additive_generators, invariant_subring
+from .errors import DefectError, PreconditionError
+from .partial_action import (Budgets, PartialAction, _additive_generators,
+                             invariant_subring)
 
-ASSOC_TRIPLE_BUDGET = 1_000_000
-ELEMENT_ITER_BUDGET = 1_000_000
+# the default triple budget as a module name: perfbench/wl_cochain.py
+# reads it
+ASSOC_TRIPLE_BUDGET = Budgets().assoc_triples
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,12 +202,6 @@ class GradedAlgebra:
         out[ident] = int(R.mul[r, self.unit[ident]])
         return tuple(out)
 
-    def elements(self):
-        if self.order > ELEMENT_ITER_BUDGET:
-            raise BudgetError("algebra-elements", ELEMENT_ITER_BUDGET, self.order)
-        for combo in itertools.product(*self.component_members):
-            yield tuple(int(c) for c in combo)
-
     def monomials(self):
         yield from zip(self.basis.grade.tolist(), self.basis.coeff.tolist())
 
@@ -232,7 +228,7 @@ def _check_associativity(basis: MonomialBasis, table: np.ndarray) -> AssocReport
     each of the three coefficients, so the identity holds everywhere as
     soon as it holds on the additive generators of each D_g."""
     n = len(table)
-    if n ** 3 <= ASSOC_TRIPLE_BUDGET:
+    if n ** 3 <= basis.action.budgets.assoc_triples:
         for i in range(n):
             bad = table[table[i]] != table[i][table]
             if bad.any():
@@ -376,7 +372,8 @@ def theta_factor_set(action: PartialAction) -> ThetaFactorSet:
     basis = _monomial_basis(action)
     values = _theta_values(action, basis)
     side = len(values)
-    exhaustive = max(side * side * R.order, side ** 3) <= ASSOC_TRIPLE_BUDGET
+    exhaustive = (max(side * side * R.order, side ** 3)
+                  <= action.budgets.assoc_triples)
     slot = [basis.coeff[basis.grade == g] for g in range(nG)]
     r = np.arange(R.order)
     if not exhaustive:

@@ -64,9 +64,6 @@ class FiniteRing:
     def __repr__(self):
         return f"FiniteRing({self.tag}, order={self.order})"
 
-    def name_of(self, r: int) -> str:
-        return self.names[r]
-
     @cached_property
     def neg(self) -> np.ndarray:
         return np.argmax(self.add == self.zero, axis=1)
@@ -131,11 +128,6 @@ class Subring:
     members: tuple[int, ...]
     ring: FiniteRing          # relabeled copy on 0..len(members)-1
     embed: np.ndarray         # local index -> ambient element
-
-    @cached_property
-    def retract(self) -> dict[int, int]:
-        return {int(a): i for i, a in enumerate(self.embed)}
-
 
 def idempotents(ring: FiniteRing) -> tuple[int, ...]:
     """All solutions of e*e == e, sorted by element index."""

@@ -26,10 +26,6 @@ from .finring import FiniteRing, _additive_span, primitive_idempotents
 from .groups import FinAbPresentation, abelian_structure, kernel_image_orders
 from .partial_action import PartialAction, _additive_generators, invariant_subring
 
-SEARCH_BUDGET = 1_000_000
-LATTICE_BUDGET = 40_000_000   # rows * cols^2 for the Smith reduction
-BASIS_NODE_BUDGET = 20_000
-
 
 @dataclass(frozen=True)
 class GaloisCertificate:
@@ -147,7 +143,7 @@ def _span_certificate(action: PartialAction):
     gens = pres.generators
     k = len(gens)
     n_cols = k * nG
-    if (k * k + n_cols) * n_cols * n_cols > LATTICE_BUDGET:
+    if (k * k + n_cols) * n_cols * n_cols > action.budgets.galois_lattice:
         return None, False   # inconclusive: reduction too large
     rows, labels = [], []
     for a in gens:
@@ -205,7 +201,7 @@ def _exhaustive_search(action: PartialAction, max_m: int):
         for i in range(m):
             count = count * (len(pair_pool) + i) // (i + 1)
         total += count
-    if total > SEARCH_BUDGET:
+    if total > action.budgets.galois_search:
         return None, False
     for m in range(1, max_m + 1):
         for combo in itertools.combinations_with_replacement(pair_pool, m):
@@ -274,10 +270,10 @@ def _module_span(ring: FiniteRing, s_arr: np.ndarray, vecs) -> np.ndarray:
     return _additive_span(ring, ring.mul[s_arr[:, None], vecs])
 
 
-def _free_basis(ring: FiniteRing, s_members, rank: int):
+def _free_basis(ring: FiniteRing, s_members, rank: int, budget: int):
     """Ascending basis (b_1 < ... < b_rank) with |span| = |S|^k at every
-    step, or None.  Exact stepwise growth forces unique representation,
-    hence freeness."""
+    step, or None, also when the search passes budget nodes.  Exact
+    stepwise growth forces unique representation, hence freeness."""
     s_arr = np.asarray(sorted(s_members), dtype=np.int64)
     s_order = len(s_members)
     nodes = 0
@@ -293,7 +289,7 @@ def _free_basis(ring: FiniteRing, s_members, rank: int):
             if b in span_set:
                 continue
             nodes += 1
-            if nodes > BASIS_NODE_BUDGET:
+            if nodes > budget:
                 return None
             new_span = _module_span(ring, s_arr, basis + [b])
             if len(new_span) != s_order ** (depth + 1):
@@ -419,7 +415,7 @@ def regular_representation(action: PartialAction) -> RegularRepReport:
     while s_order ** n < R.order:
         n += 1
     if s_order ** n == R.order:
-        basis = _free_basis(R, s_members, n)
+        basis = _free_basis(R, s_members, n, action.budgets.basis_nodes)
         if basis is not None:
             rank = n
     else:

@@ -7,7 +7,7 @@ always means alpha_g(r·1_{g^-1}).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -16,6 +16,28 @@ from .errors import DefectError
 from .finring import (FiniteRing, Subring, corner_ring, idempotents,
                       primitive_idempotents, subring_from_members)
 from .groups import FiniteGroup
+
+
+@dataclass(frozen=True)
+class Budgets:
+    """The size limits of the computations on an action.  Past one, a
+    computation either raises a BudgetError that names it or takes the
+    other route its docstring gives (a proof on generators, an undecided
+    or unminimized answer)."""
+    cochain_scan: int = 10_000_000         # cochains an exhaustive scan visits
+    kernel_dfs_nodes: int = 10_000_000     # nodes of the cocycle search
+    materialize: int = 1_000_000           # members of B^n closed under product
+    cochain_size: int = 10_000_000         # values of one cochain, |G|^n
+    structure_positions: int = 200_000     # positions of delta^n, |G|^(n+1)
+    galois_search: int = 1_000_000         # pair lists the Galois search tries
+    galois_lattice: int = 40_000_000       # rows * cols^2 of its Smith reduction
+    basis_nodes: int = 20_000              # nodes of the free-basis search
+    assoc_triples: int = 1_000_000         # triples checked one by one
+
+    def capped(self, n: int) -> Budgets:
+        """Every budget lowered to at most n."""
+        return replace(self, **{f.name: min(getattr(self, f.name), n)
+                                for f in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -229,6 +251,7 @@ class PartialAction:
     one_g: np.ndarray
     alpha: np.ndarray
     tag: str = ""
+    budgets: Budgets = Budgets()
 
     def __post_init__(self):
         report = validate(self.ring, self.group, self.one_g, self.alpha)
@@ -277,6 +300,7 @@ class GlobalAction:
     group: FiniteGroup
     sigma: np.ndarray  # (|G|, |R|) automorphism tables
     tag: str = ""
+    budgets: Budgets = Budgets()
 
     def __post_init__(self):
         nR, nG = self.ring.order, self.group.order
@@ -313,7 +337,7 @@ def as_partial(glob: GlobalAction) -> PartialAction:
     nG = glob.group.order
     one_g = np.full(nG, glob.ring.one, dtype=np.int64)
     return PartialAction(glob.ring, glob.group, one_g, glob.sigma.copy(),
-                         tag=glob.tag or "global")
+                         tag=glob.tag or "global", budgets=glob.budgets)
 
 
 def restrict_global(glob: GlobalAction, e: int, tag: str = "") -> PartialAction:
@@ -337,7 +361,8 @@ def restrict_global(glob: GlobalAction, e: int, tag: str = "") -> PartialAction:
         dom = members[R.mul[members, e_in] == members]
         alpha[g][to_loc[dom]] = to_loc[sig[g][dom]]
     return PartialAction(corner, G, one_loc, alpha,
-                         tag=tag or f"{glob.tag or 'global'}|e={R.names[e]}")
+                         tag=tag or f"{glob.tag or 'global'}|e={R.names[e]}",
+                         budgets=glob.budgets)
 
 
 def invariant_subring(action: PartialAction) -> Subring:

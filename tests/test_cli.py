@@ -1,6 +1,7 @@
 """Command line driver: report shape, exit codes, config parsing,
 determinism."""
 import json
+import sys
 
 import pytest
 
@@ -318,18 +319,41 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
 
 
 def test_budget_cap_names_budget(tmp_path, capsys):
-    # config-built instances are fresh objects, so internal caches from
-    # other tests cannot satisfy the capped run
     cfg = tmp_path / "frob.ini"
     cfg.write_text(FROB_INI)
-    code, _, err = run(capsys, ["cohomology", "--config", str(cfg), "--n", "2",
-                                "--budget", "5", "--engine", "enumerate"])
-    assert code == 2
-    assert "budget" in err and "exceeded" in err
-    # budgets are restored afterwards
-    code, out, _ = run(capsys, ["cohomology", "--config", str(cfg), "--n", "2",
-                                "--engine", "enumerate"])
-    assert code == 0 and "|H|=1" in out
+    for source in (["--config", str(cfg)], ["--fixture", "E2"]):
+        argv = ["cohomology", *source, "--n", "2", "--engine", "enumerate"]
+        code, _, err = run(capsys, argv + ["--budget", "5"])
+        assert code == 2
+        assert "budget 'kernel-dfs-nodes' exceeded" in err
+        # a later uncapped run on the same instance answers in full
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and "|H|=1" in out
+
+
+def _clear_caches():
+    """Empty every lru_cache in pargal, as in a new process."""
+    for name, mod in list(sys.modules.items()):
+        if name == "pargal" or name.startswith("pargal."):
+            for obj in vars(mod).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+@pytest.mark.parametrize("argv,budget", [
+    (["cohomology", "--fixture", "E3", "--n", "2"], "structure-positions"),
+    (["sequence", "--fixture", "E3"], "kernel-dfs-nodes"),
+    (["census", "--fixture", "E0"], "structure-positions"),
+])
+def test_capped_run_after_uncapped_refuses_as_cold(capsys, argv, budget):
+    # the capped action is a fresh object, so no cache entry of the
+    # uncapped run answers it; census corners inherit the cap
+    capped = argv + ["--budget", "10"]
+    _clear_caches()
+    cold = run(capsys, capped)
+    assert cold[0] == 2 and f"budget '{budget}' exceeded" in cold[2]
+    assert run(capsys, argv)[0] == 0
+    assert run(capsys, capped) == cold
 
 
 @pytest.mark.parametrize("name,triples", [("E0", 729), ("E2", 512)])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pargal import cohomology as coh
 from pargal import fixtures, groups, intmat
 from pargal.errors import BudgetError, DefectError, PreconditionError
+from pargal.partial_action import Budgets
 
 
 def _random_cochain(action, n, rng):
@@ -209,11 +211,11 @@ def test_corners_match_corner_idem(name, stress_action):
             coh.corner_idem(act, gs) for gs in coh.positions(act, n)]
 
 
-def test_generator_images_refuses_before_building_a_plan(monkeypatch):
-    act = fixtures.fixture("E2")
+def test_generator_images_refuses_before_building_a_plan():
+    act = dataclasses.replace(fixtures.fixture("E2"),   # |G^3| = 27
+                              budgets=Budgets(structure_positions=26))
     coh._face_plan.cache_clear()
     coh._corners.cache_clear()
-    monkeypatch.setattr(coh, "STRUCTURE_POSITION_BUDGET", 26)   # |G^3| = 27
     with pytest.raises(BudgetError) as info:
         coh._generator_images(act, 2)
     assert info.value.budget == "structure-positions"
@@ -335,15 +337,13 @@ def test_image_closure_matches_coboundary_scan(name, ns, stress_action):
         assert coh._image_scan(act, n) == _brute_coboundaries(act, n)
 
 
-def test_image_closure_refuses_past_budget(monkeypatch):
-    act = fixtures.fixture("E2")
-    coh._image_rows.cache_clear()
-    monkeypatch.setattr(coh, "MATERIALIZE_BUDGET", 100)   # |B^3| = 243
+def test_image_closure_refuses_past_budget():
+    act = dataclasses.replace(fixtures.fixture("E2"),   # |B^3| = 243
+                              budgets=Budgets(materialize=100))
     with pytest.raises(BudgetError) as info:
         coh._image_scan(act, 3)
     assert info.value.budget == "materialize"
     assert coh._materialize_image(act, 3) is None
-    coh._image_rows.cache_clear()
 
 
 def test_f8c3_h3_lex_least_in_seconds(stress_action):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -11,7 +12,7 @@ from pargal import crossed, fixtures
 from pargal.errors import DefectError, PreconditionError
 from pargal.finring import make_ring, subring_from_members
 from pargal.groups import cyclic_group
-from pargal.partial_action import trivial_partial_action
+from pargal.partial_action import Budgets, trivial_partial_action
 
 
 # ------------------------------------------------------------- skew ring
@@ -330,8 +331,12 @@ def test_table_matches_scalar_reference_on_every_e2_cocycle():
         _assert_table_matches(crossed.crossed_product(act, f), f)
 
 
-def _corrupted_e1():
-    alg = crossed.skew_group_ring(fixtures.fixture("E1"))
+def _capped_triples(act):
+    return dataclasses.replace(act, budgets=Budgets(assoc_triples=100))
+
+
+def _corrupted_e1(act=None):
+    alg = crossed.skew_group_ring(act or fixtures.fixture("E1"))
     table = alg.table.copy()
     table[5, 5] = 7   # (1,1)(1,1) = (2,0), changed to (2,2)
     names = [f"({g},{d})" for g, d in alg.monomials()]
@@ -351,11 +356,10 @@ def test_corrupted_table_names_first_failing_triple():
         crossed._check_associativity(alg.basis, table)
 
 
-def test_corrupted_table_proof_names_witness(monkeypatch):
+def test_corrupted_table_proof_names_witness():
     # past the budget the check is a proof.  D_g = {0, 1} for g = 1, so
     # any value of (1,1)(1,1) is bi-additive: the generator triples see it
-    alg, table, names = _corrupted_e1()
-    monkeypatch.setattr(crossed, "ASSOC_TRIPLE_BUDGET", 100)
+    alg, table, names = _corrupted_e1(_capped_triples(fixtures.fixture("E1")))
     witness = (alg.basis.index(0, 1), 5, 5)
     assert _assoc_fails(table, *witness)
     want = ",".join(names[x] for x in witness)
@@ -388,15 +392,14 @@ def _twisted_table(act, f11):
     return basis, crossed._index_table(act, basis, values)
 
 
-def test_proof_names_failing_generator_triple(monkeypatch):
-    act = fixtures.fixture("E2")
+def test_proof_names_failing_generator_triple():
+    act = _capped_triples(fixtures.fixture("E2"))
     R = act.ring
     u = next(x for x in range(R.order)
              if int(R.mul[x, act.one(1)]) != act.one(1)
              and any(int(R.mul[x, y]) == R.one for y in range(R.order)))
     basis, table = _twisted_table(act, u)
     assert not _exhaustive_assoc_ok(table)
-    monkeypatch.setattr(crossed, "ASSOC_TRIPLE_BUDGET", 100)
     with pytest.raises(DefectError, match="associativity fails on monomials"
                        ) as err:
         crossed._check_associativity(basis, table)

@@ -1,8 +1,12 @@
-"""Source hygiene: every name a `pargal` module imports is used there.
+"""Source hygiene, by stdlib `ast` scans of each `pargal` module.
 
-A stdlib `ast` scan: a name counts as used when it appears as a name
-anywhere in the module (attribute roots included) or is listed in the
-module's `__all__`.
+* Every name a module imports is used there: a name counts as used when
+  it appears as a name anywhere in the module (attribute roots included)
+  or is listed in the module's `__all__`.
+* No module writes module state at run time: no `global` statement, no
+  assignment to an attribute of an imported module, and no builtin
+  `setattr`, whose target a scan cannot tell from a module.  Run-time
+  settings travel on the objects they govern.
 """
 import ast
 from pathlib import Path
@@ -45,3 +49,44 @@ def test_scan_sees_unused_and_used_names():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def module_state_writes(source: str) -> list[str]:
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               or (isinstance(node, ast.ImportFrom) and node.module is None)
+               for alias in node.names}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.append(f"global (line {node.lineno})")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr"):
+            found.append(f"setattr (line {node.lineno})")
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [f"{t.value.id}.{t.attr} (line {node.lineno})"
+                      for t in targets
+                      if isinstance(t, ast.Attribute)
+                      and isinstance(t.value, ast.Name)
+                      and t.value.id in modules]
+    return found
+
+
+def test_scan_sees_module_state_writes():
+    src = ("import numpy as np\nfrom . import crossed\nfrom .x import y\n"
+           "LIMIT = 1\n"
+           "def f(obj):\n    global LIMIT\n    crossed.LIMIT = 2\n"
+           "    np.x += 1\n    y.z = 3\n    obj.w = 4\n"
+           "    setattr(crossed, 'LIMIT', 5)\n")
+    assert module_state_writes(src) == [
+        "global (line 6)", "crossed.LIMIT (line 7)", "np.x (line 8)",
+        "setattr (line 11)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_state_writes(path):
+    assert module_state_writes(path.read_text()) == []

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from pargal import finring, fixtures, groups, partial_action
 from pargal.errors import DefectError
-from pargal.partial_action import (GlobalAction, PartialAction, as_partial,
-                                   invariant_subring, orbit_report,
+from pargal.partial_action import (Budgets, GlobalAction, PartialAction,
+                                   as_partial, invariant_subring, orbit_report,
                                    restrict_global, trivial_partial_action,
                                    validate)
 
@@ -142,6 +142,18 @@ def test_one_g_zero_domain_is_zero_ideal():
     assert act.ring.order == 2
     assert act.one(1) == act.ring.zero
     assert len(act.domain_members(1)) == 1
+
+
+def test_budgets_pass_from_global_action_to_its_restrictions():
+    capped = Budgets().capped(7)
+    assert capped == Budgets(*[7] * 9)
+    assert Budgets(basis_nodes=3).capped(7).basis_nodes == 3
+    E0 = fixtures.fixture("E0")
+    glob = GlobalAction(E0.ring, E0.group, E0.alpha, budgets=capped)
+    assert as_partial(glob).budgets == capped
+    assert all(restrict_global(glob, e).budgets == capped
+               for e in E0.ring.idempotent_set)
+    assert E0.budgets == Budgets()
 
 
 def test_constructor_rejects_invalid():
