@@ -153,8 +153,7 @@ def cmd_cohomology(args, inst: Instance):
             shown.append(vals.split())
     doc = {"n": cg.n, "z_order": cg.z_order, "b_order": cg.b_order,
            "h_order": cg.h_order,
-           "invariant_factors": (list(cg.h_structure.invariant_factors)
-                                 if cg.h_structure is not None else None),
+           "invariant_factors": list(cg.invariant_factors),
            "engine": cg.engine, "representatives_shown": shown}
     return lines, doc, 0
 

@@ -4,7 +4,10 @@ An n-cochain assigns to each tuple (g1..gn) a unit of the corner
 R·1_{g1}·1_{g1g2}···1_{g1..gn}; inverses are always corner inverses.
 Two engines compute Z/B/H: an enumeration engine (depth-first kernel
 search) and a structure engine (corner unit presentations, generator
-matrices for delta, kernel and image lattices).  Both list B^n as the
+matrices for delta, kernel and image lattices that carry their moduli).
+The structure engine reads |H| off the ratio of the two covolumes, and
+only when |H| > 1 runs one Smith form of B's basis in Z's basis for H's
+invariant factors and generators.  Both engines list B^n as the
 subgroup generated by the coboundaries of the corner-unit generators.
 They agree wherever both run, and tests insist on it.
 
@@ -16,6 +19,7 @@ scalar coboundary stays the per-cochain path and the kernel's oracle.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -441,7 +445,7 @@ class CohomologyGroup:
     z_order: int
     b_order: int
     h_order: int
-    h_structure: FinAbPresentation | None
+    invariant_factors: tuple[int, ...]
     representatives: tuple[Cochain, ...]
     engine: str
     lex_least: bool  # representatives minimized within cosets
@@ -450,10 +454,9 @@ class CohomologyGroup:
         assert self.z_order == self.b_order * self.h_order
 
     def summary(self) -> str:
-        inv = (list(self.h_structure.invariant_factors)
-               if self.h_structure is not None else "?")
         return (f"H^{self.n}: |Z|={self.z_order} |B|={self.b_order} "
-                f"|H|={self.h_order} invariants={inv} [{self.engine}]")
+                f"|H|={self.h_order} "
+                f"invariants={list(self.invariant_factors)} [{self.engine}]")
 
 
 def _enumeration_engine(action: PartialAction, n: int) -> CohomologyGroup:
@@ -479,7 +482,8 @@ def _enumeration_engine(action: PartialAction, n: int) -> CohomologyGroup:
     rep_cochains = tuple(
         Cochain(action, n, np.array(t, dtype=np.int64)) for t in reps)
     return CohomologyGroup(n=n, z_order=len(z_tables), b_order=len(b_tables),
-                           h_order=h_order, h_structure=pres,
+                           h_order=h_order,
+                           invariant_factors=pres.invariant_factors,
                            representatives=rep_cochains,
                            engine="enumerate", lex_least=True)
 
@@ -553,71 +557,43 @@ def _structure_engine(action: PartialAction, n: int) -> CohomologyGroup:
     if n == 0:
         # Z^0 is a plain unit scan; no lattice work needed
         grp = _enumeration_engine(action, 0)
-        return CohomologyGroup(n=0, z_order=grp.z_order, b_order=grp.b_order,
-                               h_order=grp.h_order,
-                               h_structure=grp.h_structure,
-                               representatives=grp.representatives,
-                               engine="structure", lex_least=True)
+        return dataclasses.replace(grp, engine="structure")
     rows_n, dom_n, cod_n = _delta_matrix(action, n)
-    pos_d, _, pres_d, mod_d, off_d = dom_n
-    mod_c = cod_n[3]
-    kd = len(mod_d)
+    _, _, pres_d, mod_d, off_d = dom_n
     rows_prev, dom_prev, cod_prev = _delta_matrix(action, n - 1)
     assert cod_prev[3] == mod_d, "space descriptions must line up"
-    if kd == 0:
-        ident = identity_cochain(action, n)
-        pres = groups.abelian_structure([0], lambda a, b: 0, 0)
-        return CohomologyGroup(n=n, z_order=1, b_order=1, h_order=1,
-                               h_structure=pres, representatives=(ident,),
-                               engine="structure", lex_least=True)
-    # kernel lattice of delta^n inside Z^kd (includes the moduli lattice)
-    z_order, _, lam = groups.kernel_image_orders(rows_n, mod_d, mod_c)
+    # Z = kernel lattice of delta^n and B = image lattice of delta^(n-1),
+    # both inside Z^kd and both containing the moduli lattice
+    z_order, _, lam = groups.kernel_image_orders(rows_n, mod_d, cod_n[3])
     _, b_order, _ = groups.kernel_image_orders(rows_prev, dom_prev[3], mod_d)
-
-    # H = kernel lattice / (image lattice of delta^(n-1) + moduli lattice)
-    b_lat = intmat.RowLattice(kd, [*intmat.diagonal_rows(mod_d), *rows_prev])
-    K = lam.basis()
-    coeffs = _solve_triangular(K, b_lat.basis())
-    diag, U, V, Uinv, Vinv = intmat.smith_normal_form(coeffs)
-    keep = [i for i, d in enumerate(diag) if d > 1]
-    h_order = prod(diag[i] for i in keep) if keep else 1
+    if not all(lam.contains(row) for row in rows_prev):
+        raise DefectError("image vector outside kernel lattice")
+    b_lat = intmat.RowLattice(mod_d, rows_prev)
+    h_order = b_lat.covolume() // lam.covolume()
     assert z_order == b_order * h_order, \
         "lattice quotient disagrees with order bookkeeping"
 
-    # cyclic generators of H as coordinate vectors: kernel-basis
-    # coefficients are the rows of Vinv
-    gen_vecs = []
-    for i in keep:
-        vec = [0] * kd
-        for c, krow in zip(Vinv[i], K):
-            vec = [a + c * b for a, b in zip(vec, krow)]
-        gen_vecs.append(vec)
-
-    def residue_label(vec):
-        return b_lat.residue(vec)
-
-    def h_op(a, b):
-        return residue_label([x + y for x, y in zip(a, b)])
-
-    factors = [diag[i] for i in keep]
-    h_elems = set()
-    combos = []
-    for combo in itertools.product(*[range(d) for d in factors]):
-        vec = [0] * kd
-        for c, g in zip(combo, gen_vecs):
-            vec = [a + c * b for a, b in zip(vec, g)]
-        h_elems.add(residue_label(vec))
-        combos.append(vec)
-    assert len(h_elems) == h_order, "quotient labels must be distinct"
-    pres = groups.abelian_structure(sorted(h_elems), h_op,
-                                    residue_label([0] * kd))
+    # H = Z / B: a Smith form of B's basis in Z's basis gives its
+    # invariant factors and cyclic generators (rows of Vinv)
+    factors, gen_vecs = (), []
+    if h_order > 1:
+        K = lam.basis()
+        diag, _, _, _, Vinv = intmat.smith_normal_form(
+            _solve_triangular(K, b_lat.basis()))
+        keep = [i for i, d in enumerate(diag) if d > 1]
+        factors = tuple(diag[i] for i in keep)
+        assert prod(factors) == h_order, "Smith form disagrees with covolumes"
+        gen_vecs = [_combine(Vinv[i], K, len(mod_d)) for i in keep]
 
     # representatives: one cochain per coset when |H| is listable,
     # otherwise just the cyclic generators
     if h_order <= REP_COSET_CAP:
-        rep_vecs = combos
+        rep_vecs = [_combine(combo, gen_vecs, len(mod_d)) for combo in
+                    itertools.product(*[range(d) for d in factors])]
     else:
         rep_vecs = gen_vecs
+    labels = {b_lat.residue(v) for v in rep_vecs}
+    assert len(labels) == len(rep_vecs), "quotient labels must be distinct"
     rep_tables = [
         _table_from_coords([x % m for x, m in zip(v, mod_d)], pres_d, off_d)
         for v in rep_vecs]
@@ -633,29 +609,33 @@ def _structure_engine(action: PartialAction, n: int) -> CohomologyGroup:
     reps = tuple(Cochain(action, n, np.array(t, dtype=np.int64))
                  for t in rep_tables)
     return CohomologyGroup(n=n, z_order=z_order, b_order=b_order,
-                           h_order=h_order, h_structure=pres,
+                           h_order=h_order, invariant_factors=factors,
                            representatives=reps, engine="structure",
                            lex_least=lex)
 
 
+def _combine(coeffs, rows, k: int) -> list[int]:
+    """sum_i coeffs[i]·rows[i] as a length-k integer vector."""
+    vec = [0] * k
+    for c, row in zip(coeffs, rows):
+        vec = [a + c * b for a, b in zip(vec, row)]
+    return vec
+
+
 def _solve_triangular(basis_rows, targets):
     """Integer coefficients expressing each target in a RowLattice basis,
-    in pivot order."""
-    rows = {next(i for i, x in enumerate(r) if x): r for r in basis_rows}
-    ordered = sorted(rows.items())
+    whose row c has its pivot in column c."""
     out = []
     for target in targets:
         v = list(target)
         coeffs = [0] * len(basis_rows)
-        for k, (c, r) in enumerate(ordered):
+        for c, r in enumerate(basis_rows):
             q, rem = divmod(v[c], r[c])
             if rem:
                 raise DefectError("image vector outside kernel lattice")
             if q:
-                coeffs[k] = q
+                coeffs[c] = q
                 v[c:] = [a - q * b for a, b in zip(v[c:], r[c:])]
-        if any(v):
-            raise DefectError("image vector outside kernel lattice")
         out.append(coeffs)
     return out
 
@@ -712,8 +692,7 @@ def cohomology_group(action: PartialAction, n: int,
                 f"engines disagree at n={n}: "
                 f"enumerate {(a.z_order, a.b_order, a.h_order)} vs "
                 f"structure {(b.z_order, b.b_order, b.h_order)}")
-        if (a.h_structure.invariant_factors
-                != b.h_structure.invariant_factors):
+        if a.invariant_factors != b.invariant_factors:
             raise DefectError("engines disagree on H structure")
         return a
     raise ValueError(f"unknown engine {engine!r}")
@@ -743,15 +722,6 @@ def cohomologous(action: PartialAction, f: Cochain, f2: Cochain):
 def is_cocycle(action: PartialAction, f: Cochain) -> bool:
     ident = identity_cochain(action, f.n + 1)
     return coboundary(action, f) == ident
-
-
-def normalize_1cocycle(action: PartialAction, f: Cochain) -> Cochain:
-    """Every 1-cocycle is already normalized: f(1) = 1.  Asserted."""
-    if not is_cocycle(action, f):
-        raise PreconditionError("input is not a 1-cocycle")
-    if f[(action.group.identity,)] != action.ring.one:
-        raise DefectError("1-cocycle with f(1) != 1 should not exist")
-    return f
 
 
 def normalize_2cocycle(action: PartialAction, f: Cochain):

@@ -190,10 +190,6 @@ class GradedAlgebra:
                 acc[k] = int(R.add[acc[k], coeff])
         return tuple(acc)
 
-    def add(self, u, v) -> tuple[int, ...]:
-        R = self.action.ring
-        return tuple(int(R.add[a, b]) for a, b in zip(u, v))
-
     def embed_ring(self, r: int) -> tuple[int, ...]:
         """r -> r·(unit); the unital ring embedding R -> component 1."""
         R = self.action.ring

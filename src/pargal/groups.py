@@ -213,10 +213,8 @@ def abelian_structure(elements, op, identity) -> FinAbPresentation:
             rel = [a - b for a, b in zip(cx, coord[op(x, g)])]
             rel[i] += 1
             rels.append(rel)
-    M = intmat.RowLattice(k, rels).basis()
-    if len(M) != k:
-        raise PreconditionError("relation lattice has deficient rank")
-
+    # g^n = 1 for every g, so the relation lattice contains n·Z^k
+    M = intmat.RowLattice([n] * k, rels).basis()
     diag, U, V, Uinv, Vinv = intmat.smith_normal_form(M)
     # Z^k / rows(M) = sum Z/d_i in the coordinates c -> c V
     keep = [i for i, d in enumerate(diag) if d > 1]
@@ -272,28 +270,6 @@ def kernel_image_orders(A, dom_moduli, cod_moduli):
     ker_lat = intmat.kernel_lattice(A, dom_moduli, cod_moduli)
     dom_order = prod(dom_moduli)
     image_order = ker_lat.covolume()
-    assert image_order and dom_order % image_order == 0
+    assert dom_order % image_order == 0
     return dom_order // image_order, image_order, ker_lat
 
-
-def hom_kernel_image(domain: FinAbPresentation, codomain: FinAbPresentation,
-                     images):
-    """Kernel order, image order, and codomain/image coset representatives
-    of the homomorphism sending domain generator j to images[j]."""
-    images = list(images)
-    if len(images) != len(domain.generators):
-        raise PreconditionError("one image per domain generator required")
-    A = [list(codomain.coords_of(y)) for y in images]
-    cod_moduli = list(codomain.invariant_factors)
-    kernel_order, image_order, _ = kernel_image_orders(
-        A, list(domain.invariant_factors), cod_moduli)
-    im_lat = intmat.RowLattice(len(cod_moduli),
-                               [*intmat.diagonal_rows(cod_moduli), *A])
-    reps, seen = [], set()
-    for x in codomain.elements:
-        key = im_lat.residue(codomain.coords_of(x))
-        if key not in seen:
-            seen.add(key)
-            reps.append(x)
-    assert len(reps) * image_order == codomain.order
-    return kernel_order, image_order, reps

@@ -2,9 +2,12 @@
 
 Matrices are lists of rows of python ints, so every computation is
 arbitrary precision.  Sizes here stay in the low hundreds; simple
-pivot-by-smallest reduction is plenty.  Kernels of maps between finite
-abelian groups never leave the moduli, so `kernel_lattice` works on
-numpy rows reduced mod the domain orders instead.
+pivot-by-smallest reduction is plenty.  Every lattice carries its
+moduli: a `RowLattice` is span(rows) + (+) m_i Z, kept in modular
+Hermite form with entries reduced mod the moduli, so no entry grows.
+Kernels of maps between finite abelian groups never leave the moduli
+either, so `kernel_lattice` works on numpy rows reduced mod the domain
+orders.
 """
 from __future__ import annotations
 
@@ -164,13 +167,7 @@ def kernel_lattice(A, dom_moduli, cod_moduli) -> RowLattice:
             B[nz] = (B[nz] - c[:, None] * B[p]) % d
             B[p] = B[p] * (e // g) % d
             break
-    return RowLattice(k, [*diagonal_rows(dom_moduli), *B.tolist()])
-
-
-def diagonal_rows(moduli) -> list[list[int]]:
-    """Rows m_i·e_i spanning (+) m_i Z."""
-    return [[m if j == i else 0 for j in range(len(moduli))]
-            for i, m in enumerate(moduli)]
+    return RowLattice(dom_moduli, B.tolist())
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -184,82 +181,76 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class RowLattice:
-    """Canonical Hermite basis of the lattice spanned by integer row vectors.
+    """The lattice span(rows) + (+) m_i Z inside Z^n, n = len(moduli), held
+    as its unique Hermite basis: one row per column, pivots positive, every
+    entry right of a pivot in [0, that column's pivot).
 
-    Supports bulk and incremental insertion, membership, canonical
-    residues, and covolume.  Rows live in Z^n.
+    The lattice always contains its moduli, so it has full rank and
+    covolume prod(pivots).  The rows m_i·e_i seed the pivots and every
+    entry right of a pivot stays reduced mod its column's modulus while
+    rows are inserted, so no entry ever grows past the moduli: modular
+    Hermite form (Domich-Kannan-Trotter, Math. Oper. Res. 12, 1987;
+    Cohen, GTM 138, 2.4.2).
     """
 
-    def __init__(self, n: int, rows=()):
-        self.n = n
-        self.pivot_rows: dict[int, list[int]] = {}  # pivot column -> row
+    def __init__(self, moduli, rows=()):
+        self.moduli = [int(m) for m in moduli]   # each positive
+        n = len(self.moduli)
+        self.pivot_rows = [[m if j == i else 0 for j in range(n)]
+                           for i, m in enumerate(self.moduli)]
         for r in rows:   # the Hermite basis is unique: normalize once
             self._insert(r)
         self._normalize()
 
-    def add(self, row) -> bool:
-        """Insert a vector; returns True if the lattice grew."""
-        grew = self._insert(row)
-        if grew:
-            self._normalize()
-        return grew
-
-    def _insert(self, row) -> bool:
-        """Echelon insertion without normalizing; True if the lattice grew."""
-        v = [int(x) for x in row]
-        grew = False
+    def _insert(self, row):
+        """Echelon insertion mod the moduli, without normalizing."""
+        mods = self.moduli
+        v = [int(x) % m for x, m in zip(row, mods)]
+        c = 0
         while True:
-            c = next((i for i, x in enumerate(v) if x), None)
+            c = next((i for i in range(c, len(v)) if v[i]), None)
             if c is None:
-                break
-            b = self.pivot_rows.get(c)
-            if b is None:
-                if v[c] < 0:
-                    v = [-x for x in v]
-                self.pivot_rows[c] = v
-                grew = True
-                break
-            q = v[c] // b[c]
-            v = [x - q * y for x, y in zip(v, b)]
-            if v[c]:
-                # remainder is smaller: swap roles and keep reducing
-                self.pivot_rows[c] = v
-                v = b
-                grew = True
-        return grew
+                return
+            b = self.pivot_rows[c]
+            x, y = v[c], b[c]
+            # unimodular 2x2 step: the pivot becomes gcd(x, y) and the
+            # other combination clears column c (when y | x the pivot row
+            # stays and v loses x/y copies of it)
+            g, s, t = _xgcd(x, y)
+            xg, yg = x // g, y // g
+            tail = zip(v[c + 1:], b[c + 1:], mods[c + 1:])
+            pairs = [((s * a + t * z) % m, (yg * a - xg * z) % m)
+                     for a, z, m in tail]
+            b[c:] = [g] + [p for p, _ in pairs]
+            v[c:] = [0] + [r for _, r in pairs]
 
     def _normalize(self):
-        # reduce entries above each pivot into [0, pivot)
-        cols = sorted(self.pivot_rows)
-        for idx, c in enumerate(cols):
-            b = self.pivot_rows[c]
-            for c2 in cols[idx + 1:]:
-                b2 = self.pivot_rows[c2]
-                q = b[c2] // b2[c2]
+        # reduce entries right of each pivot into [0, pivot), bottom row
+        # first, so each row is reduced by rows already in final form
+        rows = self.pivot_rows
+        for c in reversed(range(len(rows))):
+            b = rows[c]
+            for c2 in range(c + 1, len(rows)):
+                q = b[c2] // rows[c2][c2]
                 if q:
-                    self.pivot_rows[c] = b = [x - q * y for x, y in zip(b, b2)]
+                    b[c2:] = [x - q * y for x, y in
+                              zip(b[c2:], rows[c2][c2:])]
 
     def residue(self, row) -> tuple[int, ...]:
         """Canonical representative of row + lattice (floor reduction)."""
         v = [int(x) for x in row]
-        for c in sorted(self.pivot_rows):
-            if v[c]:
-                b = self.pivot_rows[c]
-                q = v[c] // b[c]
-                v = [x - q * y for x, y in zip(v, b)]
+        for c, b in enumerate(self.pivot_rows):
+            q = v[c] // b[c]
+            if q:
+                v[c:] = [x - q * y for x, y in zip(v[c:], b[c:])]
         return tuple(v)
 
     def contains(self, row) -> bool:
         return not any(self.residue(row))
 
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
     def covolume(self) -> int:
-        """Index [Z^n : lattice]; 0 when the lattice has deficient rank."""
-        if len(self.pivot_rows) < self.n:
-            return 0
-        return prod(row[c] for c, row in self.pivot_rows.items())
+        """Index [Z^n : lattice], the product of the pivots."""
+        return prod(b[c] for c, b in enumerate(self.pivot_rows))
 
     def basis(self) -> list[list[int]]:
-        return [self.pivot_rows[c] for c in sorted(self.pivot_rows)]
+        return list(self.pivot_rows)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import time
 
@@ -10,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from pargal import cohomology as coh
 from pargal import fixtures, groups, intmat
 from pargal.errors import BudgetError, DefectError, PreconditionError
-from pargal.partial_action import Budgets
+from pargal.finring import element_from_components, make_ring
+from pargal.partial_action import (Budgets, restrict_global,
+                                   trivial_partial_action)
 
 
 def _random_cochain(action, n, rng):
@@ -247,8 +250,7 @@ def test_batched_solve_matches_per_target(name, stress_action):
     mod_d = dom[3]
     _, _, lam = groups.kernel_image_orders(rows_n, mod_d, cod[3])
     rows_prev, _, _ = coh._delta_matrix(act, 2)
-    b_lat = intmat.RowLattice(len(mod_d),
-                              [*intmat.diagonal_rows(mod_d), *rows_prev])
+    b_lat = intmat.RowLattice(mod_d, rows_prev)
     K, targets = lam.basis(), b_lat.basis()
     assert len(targets) > 0
     assert coh._solve_triangular(K, targets) == [
@@ -376,9 +378,9 @@ def test_representatives_lex_least_enumeration():
 def test_h_structure_presentation():
     act = fixtures.fixture("E2")
     g0 = coh.cohomology_group(act, 0)
-    assert g0.h_structure.invariant_factors == (3,)
+    assert g0.invariant_factors == (3,)
     g1 = coh.cohomology_group(act, 1)
-    assert g1.h_structure.invariant_factors == ()
+    assert g1.invariant_factors == ()
 
 
 def test_arity3_consistency():
@@ -390,6 +392,71 @@ def test_arity3_consistency():
     assert grp.b_order == 6561 // 27  # |C^2| / |Z^2|
     with pytest.raises(PreconditionError):
         coh.cohomology_group(act, 4)
+
+
+# ---------------------------------------------------- classical oracles
+
+def _trivial_action(ring_tag, group_spec):
+    return trivial_partial_action(make_ring(ring_tag),
+                                  groups.make_group(group_spec))
+
+
+def _assert_distinct_classes(act, grp):
+    assert len(grp.representatives) == grp.h_order
+    for rep in grp.representatives:
+        assert coh.is_cocycle(act, rep)
+    if grp.n <= 2:   # the witness search is exhaustive over C^(n-1)
+        for f, f2 in itertools.combinations(grp.representatives, 2):
+            assert coh.cohomologous(act, f, f2) is None
+
+
+# A trivial action of G on a field k gives ordinary group cohomology with
+# coefficients in the cyclic group U(k) (Brown, GTM 87): H^n(C_m, Z/m) =
+# Z/m for n >= 1, and H^n(C2 x C2, Z/2) = (Z/2)^(n+1) by Kunneth.  The
+# enumeration engine joins in ("both") while its scans stay small.
+@pytest.mark.parametrize("ring_tag,group_spec,n,want,engines", [
+    ("GF(3)", "C2*C2", 1, (2, 2), ("both", "structure")),
+    ("GF(3)", "C2*C2", 2, (2, 2, 2), ("both", "structure")),
+    ("GF(3)", "C2*C2", 3, (2, 2, 2, 2), ("structure",)),
+    ("GF(5)", "C4", 1, (4,), ("both", "structure")),
+    ("GF(5)", "C4", 2, (4,), ("structure",)),
+    ("GF(5)", "C4", 3, (4,), ("structure",)),
+    ("GF(4;x^2+x+1)", "C3", 1, (3,), ("both", "structure")),
+    ("GF(4;x^2+x+1)", "C3", 2, (3,), ("both", "structure")),
+    ("GF(4;x^2+x+1)", "C3", 3, (3,), ("structure",)),
+])
+def test_trivial_action_matches_group_cohomology(ring_tag, group_spec, n,
+                                                 want, engines):
+    act = _trivial_action(ring_tag, group_spec)
+    for engine in engines:
+        grp = coh.cohomology_group(act, n, engine=engine)
+        assert grp.invariant_factors == want
+        assert grp.h_order == math.prod(want) > 1
+        _assert_distinct_classes(act, grp)
+
+
+def test_trivial_c2_cubed_h2_is_fast():
+    # H^2(C2^3, Z/2) = (Z/2)^6: 64 classes, each listed once
+    act = _trivial_action("GF(3)", "C2*C2*C2")
+    start = time.perf_counter()
+    grp = coh.cohomology_group(act, 2)
+    assert time.perf_counter() - start < 2.0
+    assert grp.invariant_factors == (2,) * 6
+    assert len(grp.representatives) == grp.h_order == 64
+    assert len({rep.value_tuple() for rep in grp.representatives}) == 64
+
+
+def test_f4c5_h3_finishes():
+    # GF(4)^5 under the 5-cycle, restricted to (1,1,1,1,0): B^3 is a
+    # lattice in Z^256 whose Hermite form, without reduction mod the
+    # moduli, grows entries of thousands of bits
+    glob = fixtures.shift_global("GF(4;x^2+x+1)", 5)
+    act = restrict_global(
+        glob, element_from_components(glob.ring, (1, 1, 1, 1, 0)))
+    start = time.perf_counter()
+    grp = coh.cohomology_group(act, 3)
+    assert time.perf_counter() - start < 10.0
+    assert grp.h_order == 1 and grp.invariant_factors == ()
 
 
 # ---------------------------------------------------- witnesses
@@ -445,10 +512,10 @@ def test_cohomologous_negative_conclusive():
 
 def test_normalize_1cocycle_identity_path():
     act = fixtures.fixture("E2")
+    # every 1-cocycle is already normalized: f(1) = 1
     for table in coh._kernel_dfs(act, 1):
         f = coh.Cochain(act, 1, np.array(table, dtype=np.int64))
-        out = coh.normalize_1cocycle(act, f)
-        assert out == f
+        assert coh.is_cocycle(act, f)
         assert f[(act.group.identity,)] == act.ring.one
 
 

@@ -97,28 +97,29 @@ def test_dlog_round_trip(tag):
     assert seen == set(pres.elements)
 
 
+def _hom_orders(dom, cod, images):
+    """Kernel and image orders of the homomorphism sending domain
+    generator j to images[j], from its coordinate matrix."""
+    A = [list(cod.coords_of(y)) for y in images]
+    k, im, _ = groups.kernel_image_orders(
+        A, list(dom.invariant_factors), list(cod.invariant_factors))
+    return k, im
+
+
 def test_hom_identity_on_c2():
     dom = _units_presentation("Z6")  # [2]
-    k, im, reps = groups.hom_kernel_image(dom, dom, dom.generators)
-    assert (k, im) == (1, 2)
-    assert reps == [dom.identity]
+    assert _hom_orders(dom, dom, dom.generators) == (1, 2)
 
 
 def test_hom_zero_on_33():
     dom = _units_presentation("GF(4;x^2+x+1)*GF(4;x^2+x+1)")  # [3,3]
-    k, im, reps = groups.hom_kernel_image(
-        dom, dom, [dom.identity, dom.identity])
-    assert (k, im) == (9, 1)
-    assert len(reps) == 9
+    assert _hom_orders(dom, dom, [dom.identity, dom.identity]) == (9, 1)
 
 
 def test_hom_squaring_on_c4():
     dom = _units_presentation("Z5")  # [4]
     g = dom.generators[0]
-    sq = dom._op(g, g)
-    k, im, reps = groups.hom_kernel_image(dom, dom, [sq])
-    assert (k, im) == (2, 2)
-    assert len(reps) == 2
+    assert _hom_orders(dom, dom, [dom._op(g, g)]) == (2, 2)
 
 
 def test_hom_rejects_order_violation():
@@ -126,7 +127,7 @@ def test_hom_rejects_order_violation():
     c4 = _units_presentation("Z5")       # [4]
     g4 = c4.generators[0]
     with pytest.raises(PreconditionError):
-        groups.hom_kernel_image(c2, c4, [g4])  # image of order 4 from order 2
+        _hom_orders(c2, c4, [g4])  # image of order 4 from order 2
 
 
 @given(st.sampled_from(["Z8", "Z12", "Z15", "Z16", "Z24"]))
@@ -134,7 +135,7 @@ def test_kernel_times_image_is_domain_order(tag):
     dom = _units_presentation(tag)
     # squaring is always a homomorphism on an abelian group
     sq = [dom._op(g, g) for g in dom.generators]
-    k, im, _ = groups.hom_kernel_image(dom, dom, sq)
+    k, im = _hom_orders(dom, dom, sq)
     assert k * im == dom.order
     # against brute force
     elems = dom.elements

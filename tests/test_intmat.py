@@ -4,10 +4,10 @@ import random
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pargal import cohomology as coh
-from pargal import fixtures, intmat
+from pargal import fixtures, groups, intmat
 
 
 def _mat_mul(A, B):
@@ -53,13 +53,72 @@ def test_snf_factorisation_and_divisibility(rows):
     assert theirs == ours
 
 
+class PlainRowLattice:
+    """Oracle: the Hermite basis of span(rows) inside Z^n by echelon
+    insertion over Z with no reduction, so entries may grow; possibly of
+    deficient rank."""
+
+    def __init__(self, n, rows=()):
+        self.n = n
+        self.pivot_rows = {}  # pivot column -> row
+        for r in rows:
+            self.add(r)
+
+    def add(self, row):
+        v = [int(x) for x in row]
+        while True:
+            c = next((i for i, x in enumerate(v) if x), None)
+            if c is None:
+                break
+            b = self.pivot_rows.get(c)
+            if b is None:
+                self.pivot_rows[c] = v if v[c] > 0 else [-x for x in v]
+                break
+            q = v[c] // b[c]
+            v = [x - q * y for x, y in zip(v, b)]
+            if v[c]:
+                # remainder is smaller: swap roles and keep reducing
+                self.pivot_rows[c], v = v, b
+        # reduce entries above each pivot into [0, pivot)
+        cols = sorted(self.pivot_rows)
+        for idx, c in enumerate(cols):
+            b = self.pivot_rows[c]
+            for c2 in cols[idx + 1:]:
+                b2 = self.pivot_rows[c2]
+                q = b[c2] // b2[c2]
+                if q:
+                    self.pivot_rows[c] = b = [x - q * y for x, y in zip(b, b2)]
+
+    def residue(self, row):
+        v = [int(x) for x in row]
+        for c in sorted(self.pivot_rows):
+            b = self.pivot_rows[c]
+            q = v[c] // b[c]
+            v = [x - q * y for x, y in zip(v, b)]
+        return tuple(v)
+
+    def covolume(self):
+        if len(self.pivot_rows) < self.n:
+            return 0
+        return math.prod(row[c] for c, row in self.pivot_rows.items())
+
+    def basis(self):
+        return [self.pivot_rows[c] for c in sorted(self.pivot_rows)]
+
+
+def _plain_with_moduli(moduli, rows):
+    n = len(moduli)
+    return PlainRowLattice(n, [*([m if j == i else 0 for j in range(n)]
+                                 for i, m in enumerate(moduli)), *rows])
+
+
 @given(small_mats, st.lists(st.integers(2, 12), min_size=5, max_size=5))
 def test_kernel_lattice_annihilates(rows, moduli):
     # every domain order a multiple of every codomain order: any A is valid
     cod = moduli[:len(rows[0])]
     d = math.lcm(*cod)
     lat = intmat.kernel_lattice(rows, [d] * len(rows), cod)
-    assert lat.rank() == len(rows)
+    assert len(lat.basis()) == len(rows)
     for i in range(len(rows)):
         assert lat.contains([d if j == i else 0 for j in range(len(rows))])
     for x in lat.basis():
@@ -72,20 +131,14 @@ def _snf_kernel_lattice(A, dom_moduli, cod_moduli):
     """Reference: the integer kernel of A stacked over diag(e), read off
     a Smith normal form, plus the domain moduli."""
     kd, kc = len(dom_moduli), len(cod_moduli)
-    lat = intmat.RowLattice(kd)
-    for i, d in enumerate(dom_moduli):
-        lat.add([d if j == i else 0 for j in range(kd)])
     if kc == 0:
-        for row in intmat.eye(kd):
-            lat.add(row)
-        return lat
+        return _plain_with_moduli(dom_moduli, intmat.eye(kd))
     stacked = [list(r) for r in A] + [
         [e if j == i else 0 for j in range(kc)] for i, e in enumerate(cod_moduli)]
     diag, _, V, _, _ = intmat.smith_normal_form(intmat.transpose(stacked))
     rank = sum(1 for x in diag if x)
-    for j in range(rank, kd + kc):
-        lat.add([V[r][j] for r in range(kd)])
-    return lat
+    return _plain_with_moduli(dom_moduli, (
+        [V[r][j] for r in range(kd)] for j in range(rank, kd + kc)))
 
 
 @pytest.mark.parametrize("name", ["E2", "E3", "f4c4", "f8c3"])
@@ -98,49 +151,74 @@ def test_kernel_lattice_matches_snf_on_delta(name, stress_action):
 
 
 def test_row_lattice_membership_and_covolume():
-    lat = intmat.RowLattice(3)
-    assert lat.add([2, 0, 0])
-    assert lat.add([0, 3, 1])
-    assert not lat.add([2, 3, 1])
+    # 2·(0,3,1) - (0,6,0) = (0,0,2) joins (0,0,10)
+    lat = intmat.RowLattice([4, 6, 10], [[0, 3, 1]])
+    assert lat.basis() == [[4, 0, 0], [0, 3, 1], [0, 0, 2]]
     assert lat.contains([4, 3, 1])
+    assert lat.contains([8, 9, 5])
     assert not lat.contains([1, 0, 0])
-    assert lat.covolume() == 0  # rank 2 < 3
-    assert lat.add([0, 0, 5])
-    assert lat.covolume() == 2 * 3 * 5
+    assert not lat.contains([0, 3, 0])
+    assert lat.covolume() == 4 * 3 * 2
+    assert intmat.RowLattice([]).covolume() == 1
 
 
 def test_row_lattice_residue_is_canonical():
     rng = random.Random(7)
-    lat = intmat.RowLattice(4)
-    vecs = [[rng.randrange(-6, 7) for _ in range(4)] for _ in range(6)]
-    for v in vecs:
-        lat.add(v)
+    moduli = [4, 6, 9, 8]
+    vecs = [[rng.randrange(-6, 7) for _ in range(4)] for _ in range(3)]
+    lat = intmat.RowLattice(moduli, vecs)
     for _ in range(200):
         v = [rng.randrange(-20, 21) for _ in range(4)]
         r = lat.residue(v)
+        assert all(0 <= x < b[c] for c, (x, b) in
+                   enumerate(zip(r, lat.basis())))
         assert lat.contains([a - b for a, b in zip(v, r)])
         assert lat.residue([a + b for a, b in
-                            zip(v, lat.basis()[rng.randrange(lat.rank())])]) == r
+                            zip(v, lat.basis()[rng.randrange(4)])]) == r
 
 
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.lists(st.integers(-30, 30), min_size=n, max_size=n), max_size=8)))
-def test_row_lattice_bulk_matches_row_by_row(rows):
-    n = len(rows[0]) if rows else 3
-    one_by_one = intmat.RowLattice(n)
-    for r in rows:
-        one_by_one.add(r)
-    bulk = intmat.RowLattice(n, rows)
-    assert bulk.basis() == one_by_one.basis()
-    assert bulk.covolume() == one_by_one.covolume()
+def _assert_matches_plain(moduli, rows, probes):
+    lat = intmat.RowLattice(moduli, rows)
+    plain = _plain_with_moduli(moduli, rows)
+    assert lat.basis() == plain.basis()
+    assert lat.covolume() == plain.covolume()
+    for v in probes:
+        assert lat.residue(v) == plain.residue(v)
+
+
+# moduli rich in common divisors, so that inserted rows meet pivots
+# other than the moduli rows and the extended-gcd steps matter
+@settings(max_examples=400)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([1, 4, 8, 9, 12, 16, 27, 36]),
+             min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-99, 99), min_size=n, max_size=n),
+             max_size=6),
+    st.lists(st.lists(st.integers(-99, 99), min_size=n, max_size=n),
+             max_size=4))))
+def test_row_lattice_bulk_matches_row_by_row(case):
+    # modular insertion of all rows at once against the plain lattice
+    # built row by row over Z from the moduli rows and the same rows
+    _assert_matches_plain(*case)
+
+
+@pytest.mark.parametrize("name", ["E3", "f4c4", "f8c3"])
+def test_row_lattice_matches_plain_on_h3_lattices(name, stress_action):
+    act = fixtures.fixture(name) if name[0] == "E" else stress_action(name)
+    rows_n, dom, cod = coh._delta_matrix(act, 3)
+    rows_prev, _, _ = coh._delta_matrix(act, 2)
+    _, _, lam = groups.kernel_image_orders(rows_n, dom[3], cod[3])
+    rng = random.Random(5)
+    probes = [[rng.randrange(-50, 50) for _ in dom[3]] for _ in range(20)]
+    _assert_matches_plain(dom[3], rows_prev, probes)   # B^3
+    _assert_matches_plain(dom[3], lam.basis(), probes)  # Z^3
 
 
 def test_row_lattice_full_integer_lattice():
-    lat = intmat.RowLattice(2)
-    lat.add([1, 0])
-    lat.add([0, 1])
+    lat = intmat.RowLattice([5, 7], [[1, 0], [0, 1]])
     assert lat.covolume() == 1
     assert lat.residue([17, -5]) == (0, 0)
+    assert intmat.RowLattice([1, 1]).basis() == [[1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("rows,want", [
