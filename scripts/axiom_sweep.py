@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Mutation kill-rate for the axiom validator.
 
-Takes each built-in fixture plus a batch of random restricted actions,
-corrupts one table entry at a time, and checks that the validator
-rejects every corrupted instance.  A surviving mutant is printed and
-counted; the expected survivor count is zero.
+Takes each built-in fixture, each action given by --config, plus a batch
+of random restricted actions, corrupts one table entry at a time, and
+checks that the validator rejects every corrupted instance.  Fixtures are
+mutated at every site with every alternative; configs and random actions
+get --per-site sampled alternatives per site.  A surviving mutant is
+printed and counted; the expected survivor count is zero.
 
     python3 scripts/axiom_sweep.py --random 30 --seed 3
+    python3 scripts/axiom_sweep.py --config perfbench/configs/f4c4.ini --random 0
 """
 import argparse
 import random
@@ -16,6 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from pargal.config import build_action, parse_config
 from pargal.fixtures import (fixture, fixture_names, random_global_instance,
                              single_site_mutations)
 from pargal.partial_action import restrict_global, validate
@@ -41,8 +45,11 @@ def main() -> int:
     ap.add_argument("--random", type=int, default=20,
                     help="random restricted instances to mutate")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--config", action="append", default=[], metavar="PATH",
+                    help="INI instance to sweep as well (repeatable)")
     ap.add_argument("--per-site", type=int, default=2,
-                    help="sampled alternatives per table site (random phase)")
+                    help="sampled alternatives per table site (configs and "
+                         "random phase)")
     ap.add_argument("--max-order", type=int, default=256)
     args = ap.parse_args()
 
@@ -56,6 +63,13 @@ def main() -> int:
         killed += k
         mutants += m
         print(f"fixture {name}: {k}/{m} mutants rejected", flush=True)
+
+    for path in args.config:
+        act = build_action(parse_config(Path(path).read_text()))
+        k, m = sweep(act, rng, args.per_site, axiom_hits)
+        killed += k
+        mutants += m
+        print(f"config {path}: {k}/{m} mutants rejected", flush=True)
 
     for i in range(args.random):
         glob, e = random_global_instance(rng, max_order=args.max_order)

@@ -85,11 +85,10 @@ def _resolve(args) -> Instance:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     cfg = parse_config(text)
-    ring, group, one_g, alpha = build_tables(cfg)
+    ring, group, one_g, alpha, act = build_tables(cfg, budgets)
     return Instance(label=f"config {args.config}", ring=ring, group=group,
-                    one_g=one_g, alpha=alpha,
-                    tag=f"{cfg.ring_tag}/{cfg.group_tag}/{cfg.kind}",
-                    budgets=budgets)
+                    one_g=one_g, alpha=alpha, tag=cfg.tag, budgets=budgets,
+                    _action=act)
 
 
 # ------------------------------------------------------------- commands

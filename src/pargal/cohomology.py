@@ -506,14 +506,6 @@ def _space_presentations(action: PartialAction, n: int):
     return pos, corners, pres, moduli, offsets
 
 
-def _coords_of_table(table, pres, offsets, k):
-    vec = [0] * k
-    for i, p in enumerate(pres):
-        c = p.coords_of(table[i])
-        vec[offsets[i]:offsets[i] + len(c)] = list(c)
-    return vec
-
-
 def _table_from_coords(vec, pres, offsets):
     out = []
     for i, p in enumerate(pres):
@@ -543,10 +535,17 @@ def _delta_matrix(action: PartialAction, n: int):
     """Generator matrix of delta^n : C^n -> C^(n+1) in corner-presentation
     coordinates, together with both spaces' descriptions."""
     images, dom, cod = _generator_images(action, n)
-    _, _, pres_c, mod_c, off_c = cod
-    rows = [_coords_of_table(img, pres_c, off_c, len(mod_c))
-            for img in images.tolist()]
-    return rows, dom, cod
+    _, corners, pres_c, mod_c, off_c = cod
+    corners, off_c = np.asarray(corners), np.asarray(off_c)
+    rows = np.zeros((len(images), len(mod_c)), dtype=np.int64)
+    for e in np.unique(corners).tolist():   # one gather per corner
+        at = np.nonzero(corners == e)[0]
+        table = pres_c[at[0]].coord_table
+        coords = table[images[:, at]]
+        if (coords < 0).any():
+            raise DefectError("delta image outside its corner's unit group")
+        rows[:, off_c[at][:, None] + np.arange(table.shape[1])] = coords
+    return rows.tolist(), dom, cod
 
 
 REP_COSET_CAP = 4096  # list one representative per coset up to this |H|

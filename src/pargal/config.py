@@ -32,7 +32,7 @@ import numpy as np
 from .finring import (FiniteRing, frobenius_table, make_ring,
                       product_automorphism)
 from .groups import FiniteGroup, make_group
-from .partial_action import (GlobalAction, PartialAction, as_partial,
+from .partial_action import (Budgets, GlobalAction, PartialAction, as_partial,
                              restrict_global, trivial_partial_action)
 
 
@@ -50,6 +50,10 @@ class InstanceConfig:
     idempotent: str | None = None
     one_g: tuple[int, ...] | None = None
     alpha_rows: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def tag(self) -> str:
+        return f"{self.ring_tag}/{self.group_tag}/{self.kind}"
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -106,7 +110,8 @@ def resolve_idempotent(ring: FiniteRing, spec: str) -> int:
 
 
 def _generator_global(ring: FiniteRing, group: FiniteGroup,
-                      cfg: InstanceConfig) -> GlobalAction:
+                      cfg: InstanceConfig, tag: str = "",
+                      budgets: Budgets = Budgets()) -> GlobalAction:
     perm = cfg.permutation
     frob = cfg.frobenius or tuple(0 for _ in perm)
     if len(perm) == 1:
@@ -132,7 +137,7 @@ def _generator_global(ring: FiniteRing, group: FiniteGroup,
         rows.append(sigma1[rows[-1]])
     if not np.array_equal(sigma1[rows[-1]], rows[0]):
         raise ConfigError(f"automorphism order does not divide {n}")
-    return GlobalAction(ring, group, np.stack(rows))
+    return GlobalAction(ring, group, np.stack(rows), tag=tag, budgets=budgets)
 
 
 def build_global(cfg: InstanceConfig) -> GlobalAction | None:
@@ -144,22 +149,28 @@ def build_global(cfg: InstanceConfig) -> GlobalAction | None:
     return _generator_global(ring, group, cfg)
 
 
-def build_tables(cfg: InstanceConfig):
-    """(ring, group, one_g array, alpha array) without constructing the
-    action, so callers can run the validator on possibly-broken data."""
+def build_tables(cfg: InstanceConfig, budgets: Budgets = Budgets()):
+    """(ring, group, one_g, alpha, action) of an instance.
+
+    For the generator and trivial kinds the tables come from an action
+    built (and so validated) here, which is returned with the instance's
+    tag and the given budgets.  For kind=tables the action is None: the
+    raw tables may break the axioms, and the caller decides whether to
+    construct the action or to run the validator on them."""
     ring = make_ring(cfg.ring_tag)
     group = make_group(cfg.group_tag)
     if cfg.kind == "trivial":
-        act = trivial_partial_action(ring, group)
-        return ring, group, act.one_g, act.alpha
+        act = trivial_partial_action(ring, group, tag=cfg.tag, budgets=budgets)
+        return ring, group, act.one_g, act.alpha, act
     if cfg.kind == "generator":
-        glob = _generator_global(ring, group, cfg)
         if cfg.idempotent is not None:
+            glob = _generator_global(ring, group, cfg, budgets=budgets)
             e = resolve_idempotent(ring, cfg.idempotent)
-            act = restrict_global(glob, e)
-            return act.ring, group, act.one_g, act.alpha
-        act = as_partial(glob)
-        return ring, group, act.one_g, act.alpha
+            act = restrict_global(glob, e, tag=cfg.tag)
+        else:
+            act = as_partial(_generator_global(ring, group, cfg, tag=cfg.tag,
+                                               budgets=budgets))
+        return act.ring, group, act.one_g, act.alpha, act
     if cfg.one_g is None or cfg.alpha_rows is None:
         raise ConfigError("kind=tables needs one_g and alpha")
     one_g = np.asarray(cfg.one_g, dtype=np.int64)
@@ -168,10 +179,12 @@ def build_tables(cfg: InstanceConfig):
         raise ConfigError(f"one_g needs {group.order} entries")
     if alpha.shape != (group.order, ring.order):
         raise ConfigError(f"alpha needs {group.order} rows of {ring.order} entries")
-    return ring, group, one_g, alpha
+    return ring, group, one_g, alpha, None
 
 
 def build_action(cfg: InstanceConfig) -> PartialAction:
-    ring, group, one_g, alpha = build_tables(cfg)
-    tag = f"{cfg.ring_tag}/{cfg.group_tag}/{cfg.kind}"
-    return PartialAction(ring=ring, group=group, one_g=one_g, alpha=alpha, tag=tag)
+    ring, group, one_g, alpha, act = build_tables(cfg)
+    if act is None:
+        act = PartialAction(ring=ring, group=group, one_g=one_g, alpha=alpha,
+                            tag=cfg.tag)
+    return act

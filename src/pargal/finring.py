@@ -14,6 +14,7 @@ contract:
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -436,11 +437,14 @@ def frobenius_table(ring: FiniteRing) -> np.ndarray:
     if ring.field_params is None:
         raise ValueError("frobenius needs a field")
     p, _ = ring.field_params
-    idx = np.arange(ring.order)
-    out = np.empty(ring.order, dtype=np.int64)
-    for a in idx:
-        out[a] = ring.elem_pow(int(a), p)
-    return out
+    acc = np.full(ring.order, ring.one, dtype=np.int64)
+    base = np.arange(ring.order, dtype=np.int64)
+    while p:   # square-and-multiply on every element at once
+        if p & 1:
+            acc = ring.mul[acc, base]
+        base = ring.mul[base, base]
+        p >>= 1
+    return acc
 
 
 # ---------------------------------------------------------------- products
@@ -454,26 +458,22 @@ def product_ring(parts, max_order: int = DEFAULT_RING_CAP) -> FiniteRing:
     n = prod(r.order for r in parts)
     if n > max_order:
         raise BudgetError("ring-order", max_order, n)
-    sizes = [r.order for r in parts]
-    strides = [prod(sizes[i + 1:]) for i in range(len(parts))]
-    idx = np.arange(n, dtype=np.int64)
-    digs = [(idx // strides[i]) % sizes[i] for i in range(len(parts))]
-    add = np.zeros((n, n), dtype=np.int64)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for i, r in enumerate(parts):
-        d = digs[i]
-        add += strides[i] * r.add[d[:, None], d[None, :]]
-        mul += strides[i] * r.mul[d[:, None], d[None, :]]
-    zero = sum(strides[i] * parts[i].zero for i in range(len(parts)))
-    one = sum(strides[i] * parts[i].one for i in range(len(parts)))
-    names = []
-    for a in range(n):
-        names.append("(" + ",".join(
-            parts[i].names[(a // strides[i]) % sizes[i]]
-            for i in range(len(parts))) + ")")
+    # mixed radix, leftmost component most significant: each step puts the
+    # next component's table on its own pair of axes and flattens
+    add = mul = np.zeros((1, 1), dtype=np.int64)
+    zero = one = 0
+    for r in parts:
+        k, s = add.shape[0], r.order
+        add = (add[:, None, :, None] * s
+               + r.add[None, :, None, :]).reshape(k * s, k * s)
+        mul = (mul[:, None, :, None] * s
+               + r.mul[None, :, None, :]).reshape(k * s, k * s)
+        zero, one = zero * s + r.zero, one * s + r.one
+    names = tuple("(" + ",".join(t) + ")"
+                  for t in itertools.product(*(r.names for r in parts)))
     tag = "*".join(r.tag for r in parts)
-    return FiniteRing(add=add, mul=mul, zero=int(zero), one=int(one),
-                      names=tuple(names), tag=tag, components=parts)
+    return FiniteRing(add=add, mul=mul, zero=zero, one=one,
+                      names=names, tag=tag, components=parts)
 
 
 def component_indices(ring: FiniteRing, a: int) -> tuple[int, ...]:
@@ -601,7 +601,8 @@ def make_ring(descriptor: str, max_order: int = DEFAULT_RING_CAP) -> FiniteRing:
     expr = descriptor.strip()
     tops = [t.strip() for t in _split_top(expr, "*")]
     if len(tops) > 1:
-        return product_ring([make_ring(t, max_order) for t in tops], max_order)
+        built = {t: make_ring(t, max_order) for t in dict.fromkeys(tops)}
+        return product_ring([built[t] for t in tops], max_order)
     if expr.startswith("(") and expr.endswith(")"):
         return make_ring(expr[1:-1], max_order)
     m = _Z_RE.match(expr)

@@ -151,6 +151,17 @@ class FinAbPresentation:
     def coords_of(self, x) -> tuple[int, ...]:
         return self.dlog[x]
 
+    @cached_property
+    def coord_table(self) -> np.ndarray:
+        """coords_of as a dense table indexed by element: row x holds the
+        coordinates of x, and -1 where x is not an element."""
+        k = len(self.invariant_factors)
+        out = np.full((max(self.elements) + 1, k), -1, dtype=np.int64)
+        xs = np.fromiter(self.dlog, dtype=np.int64, count=len(self.dlog))
+        out[xs] = np.array(list(self.dlog.values()),
+                           dtype=np.int64).reshape(len(xs), k)
+        return out
+
     def from_coords(self, coords):
         x = self.identity
         for g, d, c in zip(self.generators, self.invariant_factors, coords):

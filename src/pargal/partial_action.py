@@ -90,25 +90,31 @@ class _Collector:
         return ValidationReport(tuple(self.violations), dict(self.counts))
 
 
-def _additive_generators(ring: FiniteRing, members: np.ndarray) -> list[int]:
-    """Small set generating the additive group of the given ideal."""
-    mem = [int(m) for m in members]
+def _additive_generators(ring: FiniteRing, members) -> tuple[int, ...]:
+    """Small set generating the additive group of the given ideal; kept
+    in the ring's corner cache per member sequence."""
+    members = np.asarray(members, dtype=np.int64)
+    key = ("additive-generators", members.tobytes())
+    got = ring._corner_cache.get(key)
+    if got is not None:
+        return got
     in_span = np.zeros(ring.order, dtype=bool)
     in_span[ring.zero] = True
     gens = []
-    for m in mem:
+    for m in members.tolist():
         if in_span[m]:
             continue
         gens.append(m)
-        current = np.nonzero(in_span)[0]
+        # span + <m> is the union of the cosets span + k*m, k = 0, 1, ...;
+        # they are disjoint until the walk returns to the span itself
+        coset = np.nonzero(in_span)[0]
         while True:
-            new = np.unique(ring.add[current, m])
-            fresh = new[~in_span[new]]
-            if fresh.size == 0:
+            coset = ring.add[coset, m]
+            if in_span[coset[0]]:
                 break
-            in_span[fresh] = True
-            current = np.nonzero(in_span)[0]
-    return gens
+            in_span[coset] = True
+    got = ring._corner_cache[key] = tuple(gens)
+    return got
 
 
 def validate(ring: FiniteRing, group: FiniteGroup, one_g, alpha) -> ValidationReport:
@@ -116,6 +122,9 @@ def validate(ring: FiniteRing, group: FiniteGroup, one_g, alpha) -> ValidationRe
 
     Violations are data: every broken axiom is reported with a concrete
     witness (element/group indices); an empty report certifies the axioms.
+    Each axiom is checked as array identities over its witness indices
+    (g, h, a, b, s), and its failures are reported in lexicographic order
+    of those indices.
     """
     col = _Collector()
     nR, nG = ring.order, group.order
@@ -131,109 +140,93 @@ def validate(ring: FiniteRing, group: FiniteGroup, one_g, alpha) -> ValidationRe
 
     inv = group.inverse_table
     gid = group.identity
+    idx = np.arange(nR)
+    one_in = one_g[inv]                       # 1_{g^-1} per g
 
-    for g in range(nG):
-        e = int(one_g[g])
-        if int(ring.mul[e, e]) != e:
-            col.hit("one-idempotent", {"g": g, "e": e},
-                    "1_g is not idempotent")
+    for g in np.nonzero(ring.mul[one_g, one_g] != one_g)[0].tolist():
+        col.hit("one-idempotent", {"g": g, "e": int(one_g[g])},
+                "1_g is not idempotent")
 
     if int(one_g[gid]) != ring.one:
         col.hit("identity-component", {"g": gid, "e": int(one_g[gid])},
                 "1_1 must be the ring identity")
     else:
-        bad = np.nonzero(alpha[gid] != np.arange(nR))[0]
+        bad = np.nonzero(alpha[gid] != idx)[0]
         if bad.size:
             col.hit("identity-component", {"g": gid, "r": int(bad[0])},
                     "alpha_1 must be the identity map",
                     extra=int(bad.size) - 1)
 
     # definedness: alpha[g] is a total map exactly on D_{g^-1}
-    dom_ok = np.ones(nG, dtype=bool)
-    for g in range(nG):
-        e_in = int(one_g[inv[g]])
-        in_dom = ring.mul[:, e_in] == np.arange(nR)
-        defined = alpha[g] >= 0
-        missing = np.nonzero(in_dom & ~defined)[0]
-        spurious = np.nonzero(~in_dom & defined)[0]
-        for r in missing[:_WITNESS_CAP]:
-            col.hit("domain-definedness", {"g": g, "r": int(r)},
+    in_dom = ring.mul[:, one_in].T == idx     # (g, r): r in D_{g^-1}
+    defined = alpha >= 0
+    missing = in_dom & ~defined
+    spurious = ~in_dom & defined
+    dom_ok = ~(missing | spurious).any(axis=1)
+    for g in np.nonzero(~dom_ok)[0].tolist():
+        for r in np.nonzero(missing[g])[0][:_WITNESS_CAP].tolist():
+            col.hit("domain-definedness", {"g": g, "r": r},
                     "alpha_g undefined on a member of D_{g^-1}")
-        for r in spurious[:_WITNESS_CAP]:
-            col.hit("domain-definedness", {"g": g, "r": int(r)},
+        for r in np.nonzero(spurious[g])[0][:_WITNESS_CAP].tolist():
+            col.hit("domain-definedness", {"g": g, "r": r},
                     "alpha_g defined outside D_{g^-1}")
-        if missing.size or spurious.size:
-            dom_ok[g] = False
 
     # the remaining checks read alpha through a totalised table; broken
     # entries collapse to 0 and are already reported above
-    safe = np.where(alpha >= 0, alpha, ring.zero)
-    ahat = np.empty((nG, nR), dtype=np.int64)
-    for g in range(nG):
-        ahat[g] = safe[g][ring.mul[:, one_g[inv[g]]]]
+    safe = np.where(defined, alpha, ring.zero)
+    ahat = np.take_along_axis(safe, ring.mul[:, one_in].T, axis=1)
+    out_dom = ring.mul[:, one_g].T == idx     # (g, r): r in D_g
 
-    for g in range(nG):
-        if not dom_ok[g]:
-            continue
-        e_in, e_out = int(one_g[inv[g]]), int(one_g[g])
-        members = np.nonzero(ring.mul[:, e_in] == np.arange(nR))[0]
-        image = safe[g][members]
-        out_members = ring.mul[:, e_out] == np.arange(nR)
+    for g in np.nonzero(dom_ok)[0].tolist():
+        e_in, e_out = int(one_in[g]), int(one_g[g])
+        sg = safe[g]
+        members = np.nonzero(in_dom[g])[0]
+        image = sg[members]
         if (len(np.unique(image)) != len(members)
-                or not out_members[image].all()
-                or len(members) != int(out_members.sum())):
+                or not out_dom[g][image].all()
+                or len(members) != int(out_dom[g].sum())):
             col.hit("bijection", {"g": g},
                     "alpha_g is not a bijection from D_{g^-1} onto D_g")
             continue
-        if int(safe[g][e_in]) != e_out:
-            col.hit("unit-to-unit", {"g": g, "got": int(safe[g][e_in])},
+        if int(sg[e_in]) != e_out:
+            col.hit("unit-to-unit", {"g": g, "got": int(sg[e_in])},
                     "alpha_g(1_{g^-1}) != 1_g")
-        gens = _additive_generators(ring, members)
-        for a in gens:
-            lhs = safe[g][ring.add[a, members]]
-            rhs = ring.add[safe[g][a], image]
-            bad = np.nonzero(lhs != rhs)[0]
-            if bad.size:
-                col.hit("additive", {"g": g, "a": a, "b": int(members[bad[0]])},
-                        "alpha_g(a+b) != alpha_g(a)+alpha_g(b)",
-                        extra=int(bad.size) - 1)
-        for a in gens:
-            for b in gens:
-                lhs = int(safe[g][ring.mul[a, b]])
-                rhs = int(ring.mul[safe[g][a], safe[g][b]])
-                if lhs != rhs:
-                    col.hit("multiplicative", {"g": g, "a": a, "b": b},
-                            "alpha_g(ab) != alpha_g(a)alpha_g(b)")
+        gens = np.asarray(_additive_generators(ring, members), dtype=np.int64)
+        col_g = gens[:, None]
+        bad = sg[ring.add[col_g, members]] != ring.add[sg[col_g], image]
+        for i in np.nonzero(bad.any(axis=1))[0].tolist():
+            at = np.nonzero(bad[i])[0]
+            col.hit("additive", {"g": g, "a": int(gens[i]),
+                                 "b": int(members[at[0]])},
+                    "alpha_g(a+b) != alpha_g(a)+alpha_g(b)",
+                    extra=int(at.size) - 1)
+        bad = sg[ring.mul[col_g, gens]] != ring.mul[sg[col_g], sg[gens]]
+        for i, j in np.argwhere(bad).tolist():
+            col.hit("multiplicative", {"g": g, "a": int(gens[i]),
+                                       "b": int(gens[j])},
+                    "alpha_g(ab) != alpha_g(a)alpha_g(b)")
 
     # unital compatibility: alpha_g(1_h 1_{g^-1}) = 1_g 1_{gh}
-    for g in range(nG):
-        for h in range(nG):
-            lhs = int(ahat[g][one_g[h]])
-            rhs = int(ring.mul[one_g[g], one_g[group.table[g, h]]])
-            if lhs != rhs:
-                col.hit("unital-compatibility", {"g": g, "h": h},
-                        "alpha_g(1_h 1_{g^-1}) != 1_g 1_{gh}")
+    bad = ahat[:, one_g] != ring.mul[one_g[:, None], one_g[group.table]]
+    for g, h in np.argwhere(bad).tolist():
+        col.hit("unital-compatibility", {"g": g, "h": h},
+                "alpha_g(1_h 1_{g^-1}) != 1_g 1_{gh}")
 
     # composition: alpha_g(alpha_h(s 1_{h^-1}) 1_{g^-1}) 1_g = alpha_{gh}(s 1_{(gh)^-1}) 1_g
     for g in range(nG):
         eg = int(one_g[g])
-        for h in range(nG):
-            gh = int(group.table[g, h])
-            lhs = ring.mul[ahat[g][ahat[h]], eg]
-            rhs = ring.mul[ahat[gh], eg]
-            bad = np.nonzero(lhs != rhs)[0]
-            if bad.size:
-                col.hit("composition",
-                        {"g": g, "h": h, "s": int(bad[0])},
-                        "alpha_g . alpha_h and alpha_{gh} disagree",
-                        extra=int(bad.size) - 1)
+        bad = ring.mul[ahat[g][ahat], eg] != ring.mul[ahat[group.table[g]], eg]
+        for h in np.nonzero(bad.any(axis=1))[0].tolist():
+            at = np.nonzero(bad[h])[0]
+            col.hit("composition", {"g": g, "h": h, "s": int(at[0])},
+                    "alpha_g . alpha_h and alpha_{gh} disagree",
+                    extra=int(at.size) - 1)
 
     # inverse pairing: alpha_{g^-1} inverts alpha_g on D_{g^-1}
     for g in range(nG):
         if not (dom_ok[g] and dom_ok[inv[g]]):
             continue
-        e_in = int(one_g[inv[g]])
-        members = np.nonzero(ring.mul[:, e_in] == np.arange(nR))[0]
+        members = np.nonzero(in_dom[g])[0]
         back = safe[inv[g]][safe[g][members]]
         bad = np.nonzero(back != members)[0]
         if bad.size:
@@ -287,11 +280,13 @@ class PartialAction:
 
 
 def trivial_partial_action(ring: FiniteRing, group: FiniteGroup,
-                           tag: str = "") -> PartialAction:
+                           tag: str = "",
+                           budgets: Budgets = Budgets()) -> PartialAction:
     nG, nR = group.order, ring.order
     one_g = np.full(nG, ring.one, dtype=np.int64)
     alpha = np.tile(np.arange(nR, dtype=np.int64), (nG, 1))
-    return PartialAction(ring, group, one_g, alpha, tag=tag or "trivial")
+    return PartialAction(ring, group, one_g, alpha, tag=tag or "trivial",
+                         budgets=budgets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,29 +298,38 @@ class GlobalAction:
     budgets: Budgets = Budgets()
 
     def __post_init__(self):
-        nR, nG = self.ring.order, self.group.order
+        R, nG = self.ring, self.group.order
+        nR = R.order
         if self.sigma.shape != (nG, nR):
             raise ValueError("sigma tables have wrong shape")
-        if not np.array_equal(self.sigma[self.group.identity], np.arange(nR)):
+        idx = np.arange(nR)
+        if not np.array_equal(self.sigma[self.group.identity], idx):
             raise ValueError("sigma_1 is not the identity")
-        gens = _additive_generators(self.ring, np.arange(nR))
+        # each law is one array identity over the additive generators a, b
+        # (and every r); the first failure is raised in the order of the
+        # loops g, a, b, additive before multiplicative at each a
+        gens = np.asarray(_additive_generators(R, idx), dtype=np.int64)
         for g in range(nG):
             s = self.sigma[g]
-            if sorted(s.tolist()) != list(range(nR)):
+            if not np.array_equal(np.sort(s), idx):
                 raise ValueError(f"sigma_{g} is not a bijection")
-            if int(s[self.ring.one]) != self.ring.one:
+            if int(s[R.one]) != R.one:
                 raise ValueError(f"sigma_{g} moves the identity")
-            for a in gens:
-                if not np.array_equal(s[self.ring.add[a]], self.ring.add[s[a]][s]):
-                    raise ValueError(f"sigma_{g} is not additive")
-                for b in gens:
-                    if int(s[self.ring.mul[a, b]]) != int(self.ring.mul[s[a], s[b]]):
-                        raise ValueError(f"sigma_{g} is not multiplicative")
+            sa = s[gens][:, None]
+            not_add = np.flatnonzero(
+                (s[R.add[gens]] != R.add[sa, s]).any(axis=1))
+            not_mul = np.flatnonzero(
+                (s[R.mul[gens[:, None], gens]] != R.mul[sa, sa.T]).any(axis=1))
+            if not_add.size and not (not_mul.size and not_mul[0] < not_add[0]):
+                raise ValueError(f"sigma_{g} is not additive")
+            if not_mul.size:
+                raise ValueError(f"sigma_{g} is not multiplicative")
         for g in range(nG):
-            for h in range(nG):
-                gh = int(self.group.table[g, h])
-                if not np.array_equal(self.sigma[g][self.sigma[h]], self.sigma[gh]):
-                    raise ValueError(f"sigma_{g} . sigma_{h} != sigma_{{gh}}")
+            bad = (self.sigma[g][self.sigma]
+                   != self.sigma[self.group.table[g]]).any(axis=1)
+            if bad.any():
+                h = int(np.argmax(bad))
+                raise ValueError(f"sigma_{g} . sigma_{h} != sigma_{{gh}}")
 
     def __repr__(self):
         label = self.tag or "global action"
