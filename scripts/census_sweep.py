@@ -3,7 +3,9 @@
 
 Draws random cyclic global actions on products of small finite fields,
 restricts each at every idempotent, and tabulates how often the corner
-is a partial Galois extension and which cohomology orders appear.
+is a partial Galois extension and which cohomology orders appear.  On
+every corner it also computes Z^1(G, alpha*, PicS) and Pic(R), and it
+exits 1 unless both are singletons, as the PicS collapse asserts.
 
     python3 scripts/census_sweep.py --count 40 --seed 7 --max-order 512
 """
@@ -20,6 +22,7 @@ from pargal.finring import idempotents
 from pargal.fixtures import random_global_instance
 from pargal.galois import GaloisCertificate, find_certificate
 from pargal.partial_action import restrict_global
+from pargal.picsemi import pics_monoid, star_action, z1_pics
 
 
 def main() -> int:
@@ -37,6 +40,7 @@ def main() -> int:
     h2_orders = Counter()
     strategies = Counter()
     corners = 0
+    collapse_breaks = []
 
     for i in range(args.count):
         glob, _ = random_global_instance(rng, max_order=args.max_order)
@@ -51,6 +55,10 @@ def main() -> int:
                 galois_votes["no" if res.conclusive else "undecided"] += 1
             h1_orders[cohomology_group(act, 1, engine=args.engine).h_order] += 1
             h2_orders[cohomology_group(act, 2, engine=args.engine).h_order] += 1
+            z1 = len(z1_pics(star_action(act)))
+            pic = len(pics_monoid(act.ring).units())
+            if (z1, pic) != (1, 1):
+                collapse_breaks.append(f"{act!r}: |Z^1| = {z1}, |Pic R| = {pic}")
         print(f"[{i + 1:3d}/{args.count}] {glob!r}: "
               f"{len(idempotents(glob.ring))} corners", flush=True)
 
@@ -64,7 +72,11 @@ def main() -> int:
           + ", ".join(f"{k}:{v}" for k, v in sorted(h1_orders.items())))
     print("  |H^2| spectrum: "
           + ", ".join(f"{k}:{v}" for k, v in sorted(h2_orders.items())))
-    return 0
+    print(f"  |Z^1(G,alpha*,PicS)| = |Pic R| = 1 on "
+          f"{corners - len(collapse_breaks)} of {corners} corners")
+    for line in collapse_breaks:
+        print(f"  collapse broken: {line}")
+    return 1 if collapse_breaks else 0
 
 
 if __name__ == "__main__":

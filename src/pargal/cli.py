@@ -192,12 +192,12 @@ def cmd_crossed(args, inst: Instance):
         assoc["proof"] = _ASSOC_PROOF
         how = f"{alg.assoc.triples} generator triples, {_ASSOC_PROOF}"
     text = alg.structure_text()
-    body = text.splitlines()
     lines = [f"twist: {twist_txt}",
              f"unit: {unit_txt}",
              f"associativity: ok ({how})"]
-    lines += body[:1 + STRUCTURE_HEAD]
-    more = len(body) - 1 - STRUCTURE_HEAD
+    n_lines = text.count("\n")   # every line ends in one
+    lines += text.split("\n", 1 + STRUCTURE_HEAD)[:min(1 + STRUCTURE_HEAD, n_lines)]
+    more = n_lines - 1 - STRUCTURE_HEAD
     if more > 0:
         lines.append(f"... {more} more structure lines (full table in --out "
                      "document)")
@@ -235,9 +235,10 @@ def cmd_pics(args, inst: Instance):
     mon = pics_monoid(R)
     star = star_action(act)
     z1 = z1_pics(star)
+    pic_order = len(mon.units())
     lines = [f"PicS(R): {len(mon.classes)} classes, neutral {mon.neutral!r}",
              "classes: " + " ".join(repr(c) for c in mon.classes),
-             f"invertible classes (Pic R): {len(mon.units())}"]
+             f"invertible classes (Pic R): {pic_order}"]
     for g in range(G.order):
         pairs = " ".join(f"{R.names[e]}->{R.names[star.star[g][e]]}"
                          for e in star.domain(g))
@@ -252,7 +253,7 @@ def cmd_pics(args, inst: Instance):
     lines.append(_PICS_COLLAPSE_LINE)
     doc = {"classes": [repr(c) for c in mon.classes],
            "neutral": repr(mon.neutral),
-           "pic_order": len(mon.units()),
+           "pic_order": pic_order,
            "star": [{R.names[e]: R.names[star.star[g][e]]
                      for e in star.domain(g)} for g in range(G.order)],
            "z1_cocycles": [[repr(c) for c in coc] for coc in z1],

@@ -212,8 +212,10 @@ class GradedAlgebra:
                   for i, (g, d) in enumerate(self.monomials())]
         shown = np.where(self.basis.coeff[self.table] == self.action.ring.zero,
                          0, self.table)
-        lines += [f"{i} {j} -> {t}" for i, row in enumerate(shown.tolist())
-                  for j, t in enumerate(row)]
+        num = [str(k) for k in range(len(self.table))]
+        mid = [f" {j} -> " for j in num]
+        lines += [i + m + num[t] for i, row in zip(num, shown.tolist())
+                  for m, t in zip(mid, row)]
         return "\n".join(lines) + "\n"
 
 

@@ -10,21 +10,33 @@ collapses to e -> alpha_g(e) on {e <= 1_{g^-1}}.  Pic(R) itself is the
 unit-class singleton.  This file computes with idempotents throughout and
 cross-checks the collapse against the element-level bimodule tensor
 construction rather than assuming it.
+
+Array form: E(R) is the ascending index array E of the idempotents, and
+star_g is the gather alpha_hat[g, E] masked to {e <= 1_{g^-1}}.  The
+partial-action axioms on the semilattice are array identities over
+(g, h, e); a failure names its first witness in (g, h, e) order.  The
+tensor cross-check runs at every (g, e), batched over e once per g: the
+two balanced products are boolean (e, r) membership matrices, closed
+under addition in row blocks of about 2**22 cells.  Units of a corner
+monoid are the rows of its meet table that reach the top.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DefectError, PreconditionError
-from .finring import FiniteRing, _additive_span, idempotents
+from .finring import FiniteRing, idempotents
 from .partial_action import PartialAction
 
 COLLAPSE_NOTE = ("PicS collapsed to the idempotent semilattice E(R): finite "
                  "commutative rings are products of finite local rings, so "
                  "all rank <= 1 projectives are ideals Re and Pic is trivial.")
+
+_BLOCK_CELLS = 1 << 22   # cells of the largest boolean closure temporary
 
 
 @dataclass(frozen=True, order=True)
@@ -34,6 +46,12 @@ class PicSClass:
 
     def __repr__(self):
         return f"[Re:{self.e}]"
+
+
+def _units_of(ring: FiniteRing, xs, top: int) -> tuple[int, ...]:
+    """The members x of xs with x·y == top for some y in xs."""
+    xs = np.asarray(xs, dtype=np.int64)
+    return tuple(xs[(ring.mul[np.ix_(xs, xs)] == top).any(axis=1)].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,9 +68,8 @@ class PicSMonoid:
 
     def units(self) -> tuple[PicSClass, ...]:
         """Invertible classes; this is Pic(R), the singleton [R]."""
-        out = [a for a in self.classes
-               if any(self.op(a, b) == self.neutral for b in self.classes)]
-        return tuple(out)
+        return tuple(PicSClass(e) for e in _units_of(
+            self.ring, [c.e for c in self.classes], self.ring.one))
 
 
 def pics_monoid(ring: FiniteRing) -> PicSMonoid:
@@ -61,39 +78,78 @@ def pics_monoid(ring: FiniteRing) -> PicSMonoid:
 
 # ------------------------------------------------------------ star action
 
-def _ideal_support(ring: FiniteRing, span) -> int:
-    """The idempotent generator of an idempotent-generated ideal, found by
-    scan; DefectError when the ideal has none (would refute the collapse)."""
-    members = set(int(x) for x in span)
-    for f in idempotents(ring):
-        if f in members and all(int(ring.mul[f, x]) == x for x in members):
-            return f
-    raise DefectError("ideal has no idempotent support")
+def _blocks(n: int, row_cells: int) -> list[slice]:
+    """Consecutive slices of range(n), each covering about _BLOCK_CELLS
+    cells at row_cells cells per row (at least one row)."""
+    step = max(1, _BLOCK_CELLS // max(1, row_cells))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
-def _tensor_support(action: PartialAction, g: int, e: int) -> int:
-    """Support idempotent of (D_g)_{g^-1} (x)_R Re (x)_R (D_{g^-1})_g,
-    computed by collapsing the two balanced products as additive ideal
-    spans.  Independent of the closed form alpha_g(e); used to cross-check
-    it."""
+def _additive_closure(ring: FiniteRing, sets: np.ndarray) -> np.ndarray:
+    """Each row of a boolean (k, |R|) membership matrix, with 0 added,
+    closed under addition: r joins a row holding x and r - x."""
+    n = ring.order
+    diff = ring.add[:, ring.neg]     # diff[r, x] = r - x
+    sets = sets.copy()
+    sets[:, ring.zero] = True
+    for rows in _blocks(len(sets), n * n):
+        cur = sets[rows]
+        cols = _blocks(n, len(cur) * n)
+        while True:
+            nxt = np.concatenate(
+                [(cur[:, diff[c]] & cur[:, None, :]).any(axis=2) for c in cols],
+                axis=1)
+            if np.array_equal(nxt, cur):
+                break
+            cur = nxt
+        sets[rows] = cur
+    return sets
+
+
+def _product_table(ring: FiniteRing, left, right) -> np.ndarray:
+    """table[x, r] = 1 when r == left[x]·y for some y in right, as float32
+    so that images of membership rows are matrix products."""
+    left = np.asarray(left, dtype=np.int64)
+    table = np.zeros((len(left), ring.order), dtype=np.float32)
+    table[np.arange(len(left))[:, None], ring.mul[np.ix_(left, right)]] = 1
+    return table
+
+
+def _tensor_supports(action: PartialAction, g: int, es) -> np.ndarray:
+    """Support idempotent of (D_g)_{g^-1} (x)_R Re (x)_R (D_{g^-1})_g for
+    each e in es, -1 where the collapsed ideal has none.  The two balanced
+    products collapse to additive ideal spans, held as boolean (e, r)
+    membership rows.  Independent of the closed form alpha_g(e); used to
+    cross-check it."""
     R = action.ring
-    ginv = action.group.inv(g)
-    ahat = action.alpha_hat[g]
+    idx = np.arange(R.order)
+    ahat = np.asarray(action.alpha_hat[g], dtype=np.int64)
     dg = np.asarray(action.domain_members(g), dtype=np.int64)
-    dginv = np.asarray(action.domain_members(ginv), dtype=np.int64)
-    re = np.flatnonzero(R.mul[:, e] == np.arange(R.order))
+    dginv = np.asarray(action.domain_members(action.group.inv(g)), dtype=np.int64)
+    in_re = (R.mul[np.asarray(es, dtype=np.int64)] == idx).astype(np.float32)
     # step 1: d (x) x collapses to d·alpha_g(x·1_{g^-1}) (x) e
-    t1 = _additive_span(R, R.mul[dg[:, None], ahat[re]])
+    t1 = _additive_closure(R, in_re @ _product_table(R, ahat, dg) > 0)
     # step 2: t (x) d collapses to t·alpha_g(d·1_{g^-1}) (x) 1_{g^-1},
     # the right twist then straightens to the plain action
-    t2 = _additive_span(R, R.mul[t1[:, None], ahat[dginv]])
-    return _ideal_support(R, t2)
+    t2 = _additive_closure(
+        R, t1.astype(np.float32) @ _product_table(R, idx, ahat[dginv]) > 0)
+    # the support: the first idempotent in the span that fixes all of it
+    ids = np.asarray(idempotents(R), dtype=np.int64)
+    moves = (R.mul[ids] != idx).astype(np.float32)     # moves[f, x]: f·x != x
+    ok = t2[:, ids] & ~(t2.astype(np.float32) @ moves.T > 0)
+    return np.where(ok.any(axis=1), ids[ok.argmax(axis=1)], -1)
 
 
 @dataclass(frozen=True, eq=False)
 class PicSAction:
     base: PartialAction
-    star: tuple[dict, ...]   # star[g]: {e <= 1_{g^-1}} -> {e <= 1_g}
+    table: np.ndarray   # table[g, e] = star_g(e) for e in E(R), e <= 1_{g^-1}; else -1
+
+    @cached_property
+    def star(self) -> tuple[dict, ...]:
+        """star[g]: {e <= 1_{g^-1}} -> {e <= 1_g}, keys ascending."""
+        return tuple({e: int(row[e]) for e in np.flatnonzero(row >= 0).tolist()}
+                     for row in self.table)
 
     def domain(self, g: int) -> tuple[int, ...]:
         return tuple(sorted(self.star[g]))
@@ -104,69 +160,80 @@ class PicSAction:
         return PicSClass(self.star[g][cls.e])
 
 
+def _below(ring: FiniteRing, E: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """below[..., i]: E[i] <= tops[...], i.e. E[i]·top == E[i]."""
+    return ring.mul[tops[..., None], E] == E
+
+
 def star_action(action: PartialAction) -> PicSAction:
     """alpha* on PicS: e -> alpha_g(e) on {e <= 1_{g^-1}}; the partial-action
     axioms are checked on the semilattice and the value of every star_g is
     cross-checked against the bimodule tensor construction."""
     R, G = action.ring, action.group
     nG = G.order
-    ids = idempotents(R)
-    below = {g: tuple(e for e in ids if int(R.mul[e, action.one(g)]) == e)
-             for g in range(nG)}
-    star = []
-    for g in range(nG):
-        ginv = G.inv(g)
-        star.append({e: int(action.alpha_hat[g][e]) for e in below[ginv]})
+    E = np.asarray(idempotents(R), dtype=np.int64)
+    pos = np.full(R.order, -1, dtype=np.int64)
+    pos[E] = np.arange(len(E))
+    one = np.asarray(action.one_g, dtype=np.int64)
+    inv, gh = G.inverse_table, G.table
+    gs = np.arange(nG)
+    below = _below(R, E, one)                # below[g, i]: E[i] <= 1_g
+    dom = below[inv]                         # the domain of star_g
+    S = np.asarray(action.alpha_hat, dtype=np.int64)[:, E]   # star_g(E[i]) on dom
 
     for g in range(nG):
-        ginv = G.inv(g)
-        mp = star[g]
-        if sorted(mp.values()) != list(below[g]):
+        d, v = E[dom[g]], S[g, dom[g]]
+        if not np.array_equal(np.sort(v), E[below[g]]):
             raise DefectError(f"star_{g} is not onto the idempotents under 1_g")
-        for e, f in mp.items():
-            for e2, f2 in mp.items():
-                if star[g][int(R.mul[e, e2])] != int(R.mul[f, f2]):
-                    raise DefectError(f"star_{g} breaks the meet at ({e},{e2})")
-        if mp[action.one(ginv)] != action.one(g):
+        bad = np.argwhere(S[g, pos[R.mul[np.ix_(d, d)]]] != R.mul[np.ix_(v, v)])
+        if bad.size:
+            i, j = bad[0]
+            raise DefectError(f"star_{g} breaks the meet at ({d[i]},{d[j]})")
+        if S[g, pos[one[inv[g]]]] != one[g]:
             raise DefectError(f"star_{g} moves the top class")
 
+    # from here every star_g is a bijection of dom[g] onto below[g]
     ident = G.identity
-    if any(star[ident][e] != e for e in below[ident]):
+    if (dom[ident] & (S[ident] != E)).any():
         raise DefectError("star_1 is not the identity")
-    for g in range(nG):
-        ginv = G.inv(g)
-        for e in below[g]:
-            if star[g][star[ginv][e]] != e:
-                raise DefectError(f"star_{g} does not invert star at {e}")
-    for g in range(nG):
-        for h in range(nG):
-            gh = G.op(g, h)
-            ginv, hinv = G.inv(g), G.inv(h)
-            # domain pattern: star_g({e <= 1_{g^-1}·1_h}) = {e <= 1_g·1_{gh}}
-            src = {e for e in ids
-                   if int(R.mul[e, int(R.mul[action.one(ginv), action.one(h)])]) == e}
-            dst = {e for e in ids
-                   if int(R.mul[e, int(R.mul[action.one(g), action.one(gh)])]) == e}
-            if {star[g][e] for e in src} != dst:
-                raise DefectError(f"star domain pattern fails at ({g},{h})")
-            # composition on the common domain
-            for e in ids:
-                if int(R.mul[e, action.one(hinv)]) == e \
-                        and int(R.mul[e, action.one(G.inv(gh))]) == e:
-                    lhs = star[g].get(star[h][e])
-                    if lhs is not None and int(R.mul[star[h][e], action.one(ginv)]) \
-                            == star[h][e]:
-                        if lhs != star[gh][e]:
-                            raise DefectError(f"star composition fails at ({g},{h},{e})")
+    bad = np.argwhere(below & (S[gs[:, None], pos[S[inv]]] != E))
+    if bad.size:
+        g, i = bad[0]
+        raise DefectError(f"star_{g} does not invert star at {E[i]}")
+    # domain pattern: star_g({e <= 1_{g^-1}·1_h}) = {e <= 1_g·1_{gh}}
+    src = _below(R, E, R.mul[one[inv][:, None], one])
+    dst = _below(R, E, R.mul[one[:, None], one[gh]])
+    image = np.zeros_like(src)
+    g_, h_, i_ = np.nonzero(src)
+    image[g_, h_, pos[S[g_, i_]]] = True
+    pattern_bad = (image != dst).any(axis=2)
+    # composition star_g(star_h(e)) = star_gh(e) wherever both sides exist
+    mid = pos[S][None]                       # mid[0, h, i]: star_h(E[i]) in E
+    g3 = gs[:, None, None]
+    comp_bad = (dom[None] & dom[gh] & dom[g3, mid] & (S[g3, mid] != S[gh]))
+    bad = np.argwhere(pattern_bad | comp_bad.any(axis=2))
+    if bad.size:
+        g, h = bad[0]
+        if pattern_bad[g, h]:
+            raise DefectError(f"star domain pattern fails at ({g},{h})")
+        e = E[np.flatnonzero(comp_bad[g, h])[0]]
+        raise DefectError(f"star composition fails at ({g},{h},{e})")
 
     for g in range(nG):
-        ginv = G.inv(g)
-        for e in below[ginv]:
-            got = _tensor_support(action, g, e)
-            if got != star[g][e]:
-                raise DefectError(
-                    f"tensor support {got} disagrees with star_{g}({e})")
-    return PicSAction(action, tuple(star))
+        es, want = E[dom[g]], S[g, dom[g]]
+        got = _tensor_supports(action, g, es)
+        bad = np.flatnonzero(got != want)
+        if bad.size:
+            i = bad[0]
+            if got[i] < 0:
+                raise DefectError("ideal has no idempotent support")
+            raise DefectError(
+                f"tensor support {got[i]} disagrees with star_{g}({es[i]})")
+
+    table = np.full((nG, R.order), -1, dtype=np.int64)
+    g_, i_ = np.nonzero(dom)
+    table[g_, E[i_]] = S[g_, i_]
+    return PicSAction(action, table)
 
 
 # ------------------------------------------------------------- 1-cocycles
@@ -174,36 +241,27 @@ def star_action(action: PartialAction) -> PicSAction:
 def semilattice_units(pics: PicSAction, g: int) -> tuple[int, ...]:
     """Units of the corner monoid X_g = {e <= 1_g} under the meet; scanned,
     not assumed to be the singleton {1_g}."""
-    action = pics.base
-    R = action.ring
-    top = action.one(g)
-    xg = [e for e in idempotents(R) if int(R.mul[e, top]) == e]
-    return tuple(e for e in xg
-                 if any(int(R.mul[e, e2]) == top for e2 in xg))
+    R = pics.base.ring
+    top = pics.base.one(g)
+    E = np.asarray(idempotents(R), dtype=np.int64)
+    return _units_of(R, E[R.mul[E, top] == E], top)
 
 
 def z1_pics(pics: PicSAction) -> tuple[tuple[PicSClass, ...], ...]:
     """All monoid 1-cocycles: maps f with f(g) a unit of X_g and
     star_g(f(h)·1_{g^-1})·f(g) = f(gh)·1_g.  Enumerated over the honest
-    unit scan; over finite rings the result is the identity singleton,
-    which the callers assert rather than assume."""
+    unit scan, each choice tested over all (g, h) at once; over finite
+    rings the result is the identity singleton, which the callers assert
+    rather than assume."""
     action = pics.base
     R, G = action.ring, action.group
-    nG = G.order
-    units = [semilattice_units(pics, g) for g in range(nG)]
+    one = np.asarray(action.one_g, dtype=np.int64)
+    units = [semilattice_units(pics, g) for g in range(G.order)]
     out = []
     for choice in itertools.product(*units):
-        ok = True
-        for g in range(nG):
-            for h in range(nG):
-                moved = pics.star[g][int(R.mul[choice[h], action.one(G.inv(g))])]
-                lhs = int(R.mul[moved, choice[g]])
-                rhs = int(R.mul[choice[G.op(g, h)], action.one(g)])
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        f = np.array(choice, dtype=np.int64)
+        moved = pics.table[np.arange(G.order)[:, None],
+                           R.mul[one[G.inverse_table][:, None], f]]
+        if np.array_equal(R.mul[moved, f[:, None]], R.mul[f[G.table], one[:, None]]):
             out.append(tuple(PicSClass(e) for e in choice))
     return tuple(out)

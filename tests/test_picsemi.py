@@ -70,9 +70,9 @@ def test_tensor_support_matches_closed_form():
     # independent recomputation at every (g, e) pair
     for g in range(3):
         ginv = act.group.inv(g)
-        for e in (0, act.one(ginv)):
-            got = picsemi._tensor_support(act, g, e)
-            assert got == int(act.alpha_hat[g][e])
+        es = [0, act.one(ginv)]
+        got = picsemi._tensor_supports(act, g, es)
+        assert got.tolist() == [int(act.alpha_hat[g][e]) for e in es]
 
 
 def test_semilattice_units_are_tops():
