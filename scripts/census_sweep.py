@@ -5,7 +5,10 @@ Draws random cyclic global actions on products of small finite fields,
 restricts each at every idempotent, and tabulates how often the corner
 is a partial Galois extension and which cohomology orders appear.  On
 every corner it also computes Z^1(G, alpha*, PicS) and Pic(R), and it
-exits 1 unless both are singletons, as the PicS collapse asserts.
+exits 1 unless both are singletons, as the PicS collapse asserts.  It
+also runs the CLI's orbit census on each action, which computes H^1 and
+H^2 once per sigma-orbit of corners and transports them, and exits 1
+unless its rows equal the per-corner ones computed here.
 
     python3 scripts/census_sweep.py --count 40 --seed 7 --max-order 512
 """
@@ -17,6 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from pargal.cli import corner_census
 from pargal.cohomology import cohomology_group
 from pargal.finring import idempotents
 from pargal.fixtures import random_global_instance
@@ -41,24 +45,36 @@ def main() -> int:
     strategies = Counter()
     corners = 0
     collapse_breaks = []
+    census_breaks = []
 
     for i in range(args.count):
         glob, _ = random_global_instance(rng, max_order=args.max_order)
+        rows = []
         for e in idempotents(glob.ring):
             act = restrict_global(glob, e)
             corners += 1
             res = find_certificate(act)
             if isinstance(res, GaloisCertificate):
+                verdict = f"yes (m={res.m})"
                 galois_votes["yes"] += 1
                 strategies[res.strategy] += 1
             else:
-                galois_votes["no" if res.conclusive else "undecided"] += 1
-            h1_orders[cohomology_group(act, 1, engine=args.engine).h_order] += 1
-            h2_orders[cohomology_group(act, 2, engine=args.engine).h_order] += 1
+                verdict = "no" if res.conclusive else "undecided"
+                galois_votes[verdict] += 1
+            h1 = cohomology_group(act, 1, engine=args.engine).h_order
+            h2 = cohomology_group(act, 2, engine=args.engine).h_order
+            h1_orders[h1] += 1
+            h2_orders[h2] += 1
+            rows.append((glob.ring.names[e], act.ring.order,
+                         tuple(int(x) for x in act.one_g), verdict, h1, h2))
             z1 = len(z1_pics(star_action(act)))
             pic = len(pics_monoid(act.ring).units())
             if (z1, pic) != (1, 1):
                 collapse_breaks.append(f"{act!r}: |Z^1| = {z1}, |Pic R| = {pic}")
+        got = corner_census(glob, args.engine)
+        if got != rows:
+            census_breaks.append(f"{glob!r}: orbit rows {got}, "
+                                 f"per-corner rows {rows}")
         print(f"[{i + 1:3d}/{args.count}] {glob!r}: "
               f"{len(idempotents(glob.ring))} corners", flush=True)
 
@@ -76,7 +92,11 @@ def main() -> int:
           f"{corners - len(collapse_breaks)} of {corners} corners")
     for line in collapse_breaks:
         print(f"  collapse broken: {line}")
-    return 1 if collapse_breaks else 0
+    print(f"  orbit census equals the per-corner rows on "
+          f"{args.count - len(census_breaks)} of {args.count} actions")
+    for line in census_breaks:
+        print(f"  orbit census differs: {line}")
+    return 1 if collapse_breaks or census_breaks else 0
 
 
 if __name__ == "__main__":

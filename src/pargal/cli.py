@@ -30,6 +30,7 @@ from .errors import BudgetError, DefectError, PreconditionError
 from .finring import idempotents
 from .galois import GaloisCertificate, find_certificate, verify_certificate
 from .partial_action import (Budgets, GlobalAction, PartialAction,
+                             check_transport, corner_transport,
                              invariant_subring, orbit_report, restrict_global,
                              validate)
 from .picsemi import COLLAPSE_NOTE, pics_monoid, star_action, z1_pics
@@ -267,16 +268,17 @@ def cmd_sequence(args, inst: Instance):
     return lines, rep.as_dict(), 0 if rep.consistent else 1
 
 
-def cmd_census(args, inst: Instance):
-    act = inst.action
-    if not act.is_global():
-        raise PreconditionError(
-            "census needs a global action: a global fixture (E0, E3) or a "
-            "generator config without an idempotent restriction")
-    R = act.ring
-    glob = GlobalAction(R, act.group, act.alpha.copy(), tag=act.tag,
-                        budgets=act.budgets)
+def corner_census(glob: GlobalAction, engine: str = "auto") -> list[tuple]:
+    """One row (name of e, |Re|, 1_g on Re, Galois verdict, |H^1|, |H^2|)
+    per idempotent e of the ring, in idempotent order.  Every corner is
+    restricted, validated and given its own Galois verdict.  H^1 and H^2
+    are computed on the first corner of each sigma-orbit only; a later
+    corner e' = sigma_k(e) reuses them once check_transport has verified
+    that sigma_k carries the action on Re onto the one on Re'."""
+    R = glob.ring
     rows = []
+    orbit = {}      # sigma_k(e) -> (e, k), first k, for each computed e
+    computed = {}   # e -> (restriction to Re, |H^1|, |H^2|)
     for e in idempotents(R):
         sub = restrict_global(glob, e, tag=f"corner {R.names[e]}")
         res = find_certificate(sub)
@@ -284,11 +286,30 @@ def cmd_census(args, inst: Instance):
             verdict = f"yes (m={res.m})"
         else:
             verdict = "no" if res.conclusive else "undecided"
-        h1 = cohomology_group(sub, 1, engine=args.engine)
-        h2 = cohomology_group(sub, 2, engine=args.engine)
+        if e in orbit:
+            rep, k = orbit[e]
+            src, h1o, h2o = computed[rep]
+            check_transport(src, sub, *corner_transport(glob, rep, k))
+        else:
+            h1o = cohomology_group(sub, 1, engine=engine).h_order
+            h2o = cohomology_group(sub, 2, engine=engine).h_order
+            computed[e] = (sub, h1o, h2o)
+            for k, image in enumerate(glob.sigma[:, e].tolist()):
+                orbit.setdefault(image, (e, k))
         rows.append((R.names[e], sub.ring.order,
-                     tuple(int(x) for x in sub.one_g), verdict,
-                     h1.h_order, h2.h_order))
+                     tuple(int(x) for x in sub.one_g), verdict, h1o, h2o))
+    return rows
+
+
+def cmd_census(args, inst: Instance):
+    act = inst.action
+    if not act.is_global():
+        raise PreconditionError(
+            "census needs a global action: a global fixture (E0, E3) or a "
+            "generator config without an idempotent restriction")
+    glob = GlobalAction(act.ring, act.group, act.alpha.copy(), tag=act.tag,
+                        budgets=act.budgets)
+    rows = corner_census(glob, args.engine)
     w = max(len(r[0]) for r in rows)
     lines = [f"census of {len(rows)} restriction corners",
              f"{'e':<{w}}  |Re|  galois        |H1|  |H2|"]

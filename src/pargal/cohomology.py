@@ -54,6 +54,17 @@ def _machinery(action: PartialAction):
     return inv_map, unit_lists
 
 
+@lru_cache(maxsize=64)
+def _inverse_rows(action: PartialAction):
+    """(idems, inv): the idempotents ascending, and inv[i, r] the inverse
+    of r in the corner at idems[i], or -1 when r is not a unit there."""
+    inv_map, _ = _machinery(action)
+    idems = sorted(inv_map)
+    inv = np.stack([inv_map[e] for e in idems])
+    inv.flags.writeable = False
+    return np.array(idems), inv
+
+
 def positions(action: PartialAction, n: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(action.group.order), repeat=n))
 
@@ -97,14 +108,17 @@ class Cochain:
             raise BudgetError("cochain-size", limit, size)
         if self.values.shape != (size,):
             raise ValueError(f"expected {size} values for arity {self.n}")
-        inv_map, _ = _machinery(self.action)
-        for flat, gs in enumerate(positions(self.action, self.n)):
-            e = corner_idem(self.action, gs)
-            v = int(self.values[flat])
-            if inv_map[e][v] < 0:
-                raise PreconditionError(
-                    f"value {self.action.ring.names[v]} at {gs} is not a unit "
-                    f"of the corner at {self.action.ring.names[e]}")
+        # one gather: each position's value in its corner's inverse row
+        idems, inv = _inverse_rows(self.action)
+        corners = _corners(self.action, self.n)
+        bad = inv[np.searchsorted(idems, corners), self.values] < 0
+        if bad.any():
+            flat = int(bad.argmax())
+            gs = tuple(int(g) for g in np.unravel_index(flat, (G.order,) * self.n))
+            names = self.action.ring.names
+            raise PreconditionError(
+                f"value {names[int(self.values[flat])]} at {gs} is not a unit "
+                f"of the corner at {names[int(corners[flat])]}")
 
     def __getitem__(self, gs) -> int:
         return int(self.values[_flat_index(self.action.group.order, gs)])
@@ -233,8 +247,7 @@ def _face_plan(action: PartialAction, n: int):
              for i in range(1, n + 1)]
     cols.append(gs[:n])
     signs = [1] + [-1 if i % 2 else 1 for i in range(1, n + 2)]
-    inv_map, _ = _machinery(action)
-    idems = sorted(inv_map)
+    idems, inv = _inverse_rows(action)
     corner_id = np.searchsorted(idems, _corners(action, n))
     faces = []
     for face, sign in zip(cols, signs):
@@ -242,7 +255,6 @@ def _face_plan(action: PartialAction, n: int):
         for col in face:
             idx = idx * nG + col
         faces.append((idx, sign, corner_id[idx]))
-    inv = np.stack([inv_map[e] for e in idems])
     return tuple(faces), gs[0].copy(), inv
 
 

@@ -369,6 +369,44 @@ def restrict_global(glob: GlobalAction, e: int, tag: str = "") -> PartialAction:
                          budgets=glob.budgets)
 
 
+def corner_transport(glob: GlobalAction, e: int, k: int):
+    """sigma_k cut down to the corner Re, which it carries onto the corner
+    at e' = sigma_k(e): (phi, twist), with phi on local indices of the two
+    restrictions and twist[g] = k g k^-1.  sigma_k sends 1_g = e·sigma_g(e)
+    to e'·sigma_{kgk^-1}(e') and alpha_g to alpha'_{kgk^-1}."""
+    R, G = glob.ring, glob.group
+    to_loc = np.full(R.order, -1, dtype=np.int64)
+    image = np.array(R.corner_members(int(glob.sigma[k, e])), dtype=np.int64)
+    to_loc[image] = np.arange(len(image))
+    phi = to_loc[glob.sigma[k][np.array(R.corner_members(e))]]
+    return phi, G.table[G.table[k], G.inverse_table[k]]
+
+
+def check_transport(src: PartialAction, dst: PartialAction, phi, twist) -> None:
+    """Check that (phi, twist) is an isomorphism of partial actions from src
+    onto dst: twist an automorphism of G, phi a ring isomorphism with
+    1'_{twist(g)} = phi(1_g) and alpha'_{twist(g)}(phi(r)) = phi(alpha_g(r)),
+    the domains included.  Isomorphic actions have isomorphic H^n, so dst
+    may reuse what was computed on src.  Raise DefectError otherwise."""
+    A, B, T = src.ring, dst.ring, src.group.table
+    phi = np.asarray(phi, dtype=np.int64)
+    twist = np.asarray(twist, dtype=np.int64)
+    if not (np.array_equal(np.sort(twist), np.arange(len(T)))
+            and np.array_equal(twist[T], T[twist][:, twist])):
+        raise DefectError("transport twist is not an automorphism of G")
+    if not (len(phi) == A.order
+            and np.array_equal(np.sort(phi), np.arange(B.order))):
+        raise DefectError("transport is not a bijection between the corners")
+    col = phi[:, None]
+    if not (np.array_equal(phi[A.add], B.add[col, phi])
+            and np.array_equal(phi[A.mul], B.mul[col, phi])):
+        raise DefectError("transport is not a ring isomorphism")
+    if not np.array_equal(dst.one_g[twist], phi[src.one_g]):
+        raise DefectError("transport does not carry 1_g to 1'_{twist(g)}")
+    if not np.array_equal(dst.alpha[twist][:, phi], np.append(phi, -1)[src.alpha]):
+        raise DefectError("transport does not carry alpha_g to alpha'_{twist(g)}")
+
+
 def invariant_subring(action: PartialAction) -> Subring:
     """{r in R : alpha_g(r·1_{g^-1}) = r·1_g for every g}."""
     R = action.ring

@@ -15,6 +15,7 @@ import pytest
 
 from pargal import cli, cohomology, finring, fixtures, groups, partial_action
 from pargal.config import build_action, build_tables, parse_config
+from pargal.errors import PreconditionError
 from pargal.partial_action import (Budgets, GlobalAction, ValidationReport,
                                    trivial_partial_action, validate)
 
@@ -483,3 +484,54 @@ def test_build_tables_leaves_raw_tables_unbuilt():
     ring, group, one_g, alpha, act = build_tables(cfg)
     assert act is None and alpha.shape == (2, 4)
     assert build_action(cfg).tag == "GF(2)*GF(2)/C2/tables"
+
+
+# ------------------------------------------------- cochain unit check
+
+
+def scalar_unit_error(action, n, values):
+    """The per-position loop Cochain used: the first value, in lex order,
+    that is not a unit of its position's corner, as the error text."""
+    inv_map, _ = cohomology._machinery(action)
+    names = action.ring.names
+    for flat, gs in enumerate(cohomology.positions(action, n)):
+        e = cohomology.corner_idem(action, gs)
+        v = int(values[flat])
+        if inv_map[e][v] < 0:
+            return (f"value {names[v]} at {gs} is not a unit "
+                    f"of the corner at {names[e]}")
+    return None
+
+
+def _unit_error(action, n, values):
+    try:
+        cohomology.Cochain(action, n, values)
+    except PreconditionError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["E0", "E1", "E2", "E3"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_cochain_unit_check_matches_loop(name, n):
+    act = fixtures.fixture(name)
+    base = cohomology.identity_cochain(act, n).values
+    size, nR = len(base), act.ring.order
+    # every single corrupted position, then seeded multi-site corruptions
+    cases = []
+    for p, r in itertools.product(range(size), range(nR)):
+        vals = base.copy()
+        vals[p] = r
+        cases.append(vals)
+    rng = np.random.default_rng(size * nR)
+    for _ in range(200):
+        vals = base.copy()
+        at = rng.choice(size, size=min(size, 3), replace=False)
+        vals[at] = rng.integers(0, nR, size=len(at))
+        cases.append(vals)
+    errors = 0
+    for vals in cases:
+        want = scalar_unit_error(act, n, vals)
+        assert _unit_error(act, n, vals) == want
+        errors += want is not None
+    assert errors
