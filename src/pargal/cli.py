@@ -197,7 +197,10 @@ def cmd_crossed(args, inst: Instance):
              f"unit: {unit_txt}",
              f"associativity: ok ({how})"]
     n_lines = text.count("\n")   # every line ends in one
-    lines += text.split("\n", 1 + STRUCTURE_HEAD)[:min(1 + STRUCTURE_HEAD, n_lines)]
+    end = -1   # the head is cut off the text; the rest is never copied
+    for _ in range(min(1 + STRUCTURE_HEAD, n_lines)):
+        end = text.index("\n", end + 1)
+    lines += text[:end].split("\n")
     more = n_lines - 1 - STRUCTURE_HEAD
     if more > 0:
         lines.append(f"... {more} more structure lines (full table in --out "
@@ -336,41 +339,47 @@ def _coerce(obj):
     return repr(obj)
 
 
-def _parser() -> argparse.ArgumentParser:
+_COMMANDS = (
+    ("validate", cmd_validate, "check the partial action axioms"),
+    ("invariants", cmd_invariants, "invariant subring and idempotent orbits"),
+    ("galois", cmd_galois, "search for partial Galois coordinates"),
+    ("cohomology", cmd_cohomology, "H^n(G, alpha, U(R))"),
+    ("crossed", cmd_crossed, "twisted crossed product R*_{alpha,f}G"),
+    ("delta-theta", cmd_delta_theta,
+     "Delta(Theta) and its matrix-algebra identification"),
+    ("pics", cmd_pics, "Picard semilattice and the induced alpha*"),
+    ("sequence", cmd_sequence, "low-degree consequence checks"),
+    ("census", cmd_census, "sweep every restriction corner of a global action"),
+)
+
+
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only the subcommand `command`, or with all of them
+    when `command` names none (help, --version, a typo, no command), so
+    that help and usage text read the same either way."""
     p = argparse.ArgumentParser(
         prog="pargal",
         description="partial group actions on finite rings: validation, "
                     "Galois coordinates, cohomology, crossed products")
     p.add_argument("--version", action="version",
                    version=f"pargal {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--fixture", metavar="NAME",
-                        help="built-in instance: " + ", ".join(fixtures.fixture_names()))
-    common.add_argument("--config", metavar="PATH",
+    sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    wanted = [row for row in _COMMANDS if row[0] == command] or _COMMANDS
+    for name, fn, help_txt in wanted:
+        sp = sub.add_parser(name, help=help_txt)
+        sp.set_defaults(handler=fn)
+        sp.add_argument("--fixture", metavar="NAME",
+                        help="built-in instance: "
+                             + ", ".join(fixtures.fixture_names()))
+        sp.add_argument("--config", metavar="PATH",
                         help="INI instance description (see README)")
-    common.add_argument("--out", metavar="PATH",
+        sp.add_argument("--out", metavar="PATH",
                         help="also write a JSON report here")
-    common.add_argument("--engine", default="auto",
+        sp.add_argument("--engine", default="auto",
                         choices=("auto", "enumerate", "structure", "both"),
                         help="cohomology engine (default auto)")
-    common.add_argument("--budget", type=int, metavar="N",
+        sp.add_argument("--budget", type=int, metavar="N",
                         help="cap every internal size budget at N")
-    sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    table = (
-        ("validate", cmd_validate, "check the partial action axioms"),
-        ("invariants", cmd_invariants, "invariant subring and idempotent orbits"),
-        ("galois", cmd_galois, "search for partial Galois coordinates"),
-        ("cohomology", cmd_cohomology, "H^n(G, alpha, U(R))"),
-        ("crossed", cmd_crossed, "twisted crossed product R*_{alpha,f}G"),
-        ("delta-theta", cmd_delta_theta,
-         "Delta(Theta) and its matrix-algebra identification"),
-        ("pics", cmd_pics, "Picard semilattice and the induced alpha*"),
-        ("sequence", cmd_sequence, "low-degree consequence checks"),
-        ("census", cmd_census, "sweep every restriction corner of a global action"),
-    )
-    for name, fn, help_txt in table:
-        sp = sub.add_parser(name, parents=[common], help=help_txt)
-        sp.set_defaults(handler=fn)
         if name == "cohomology":
             sp.add_argument("--n", type=int, required=True,
                             choices=(0, 1, 2, 3), help="cochain arity")
@@ -386,7 +395,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser has only -h and --version, so a command comes
+    # first or the call ends in help, a version line or a usage error
+    args = _parser(argv[0] if argv else None).parse_args(argv)
     try:
         inst = _resolve(args)
         lines, doc, code = args.handler(args, inst)
@@ -396,9 +408,11 @@ def main(argv=None) -> int:
             document = {"tool": "pargal", "version": __version__,
                         "command": args.command, "exit": code,
                         "instance": inst.doc(), "report": doc}
-            Path(args.out).write_text(
-                json.dumps(document, sort_keys=True, indent=2,
-                           default=_coerce) + "\n")
+            # streamed: the document is never also held as one string
+            with open(args.out, "w") as fh:
+                json.dump(document, fh, sort_keys=True, indent=2,
+                          default=_coerce)
+                fh.write("\n")
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

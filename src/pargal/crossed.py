@@ -13,7 +13,7 @@ N x N index table: table[i, j] is the basis index of monomial i times
 monomial j.  Every check (associativity, unit, centrality of R^alpha,
 multiplicativity of an isomorphism, the Theta factor-set identities) is
 an identity between numpy gathers on such tables, evaluated one first
-index or slot element at a time.
+index at a time or over whole slots in bounded chunks.
 """
 from __future__ import annotations
 
@@ -32,6 +32,8 @@ from .partial_action import (Budgets, PartialAction, _additive_generators,
 # the default triple budget as a module name: perfbench/wl_cochain.py
 # reads it
 ASSOC_TRIPLE_BUDGET = Budgets().assoc_triples
+# cells per array of a chunked check: 512 kB of int64
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,19 +206,22 @@ class GradedAlgebra:
     def structure_text(self) -> str:
         """Plain-text structure constants: basis legend, then one line per
         basis index pair with the product's basis index, 0 for a zero
-        product."""
+        product.  Built one table row at a time, one string per row, so
+        no temporary holds a string per basis pair."""
         names = self.action.ring.names
         lines = [f"# algebra {self.tag}: order {self.order}, "
                  f"{len(self.table)} basis monomials"]
         lines += [f"basis {i}: {names[d]} delta_{self.action.group.names[g]}"
                   for i, (g, d) in enumerate(self.monomials())]
-        shown = np.where(self.basis.coeff[self.table] == self.action.ring.zero,
-                         0, self.table)
+        zero = self.basis.coeff == self.action.ring.zero
         num = [str(k) for k in range(len(self.table))]
         mid = [f" {j} -> " for j in num]
-        lines += [i + m + num[t] for i, row in zip(num, shown.tolist())
-                  for m, t in zip(mid, row)]
-        return "\n".join(lines) + "\n"
+        for i, row in zip(num, self.table):
+            shown = np.where(zero[row], 0, row).tolist()
+            lines.append("\n".join([i + m + num[t]
+                                    for m, t in zip(mid, shown)]))
+        lines.append("")   # the text ends in a newline, with no extra copy
+        return "\n".join(lines)
 
 
 def _check_associativity(basis: MonomialBasis, table: np.ndarray) -> AssocReport:
@@ -360,11 +365,13 @@ class ThetaFactorSet:
 
 def theta_factor_set(action: PartialAction) -> ThetaFactorSet:
     """Build the factor-set table, then check the 1_g corner, balance,
-    outer linearity and the pentagon, one first-slot element u at a time.
-    All identities are additive in every element slot once the table is,
-    so when full enumeration exceeds the budget the table is checked
-    bi-additive and the slots range over additive generators instead;
-    the report says which ran."""
+    outer linearity and the pentagon over whole slots, in chunks of
+    first-slot elements u.  All identities are additive in every element
+    slot once the table is, so when full enumeration exceeds the budget
+    the table is checked bi-additive and the slots range over additive
+    generators instead; the report says which ran.  The first failure
+    named is the first in the order (g, h), u, v, then the corner before
+    the other kinds, then r, then kind."""
     R, G = action.ring, action.group
     nG = G.order
     basis = _monomial_basis(action)
@@ -386,25 +393,34 @@ def theta_factor_set(action: PartialAction) -> ThetaFactorSet:
     def fs(g, h, u, v):
         return values[pos[g, u], pos[h, v]]
 
+    def chunks(us, cells):
+        """us[:, None, None] in runs of whole u's of at most _CHUNK_CELLS
+        cells, each u spanning `cells` cells."""
+        step = max(1, _CHUNK_CELLS // cells)
+        for lo in range(0, len(us), step):
+            yield us[lo:lo + step, None, None]
+
     for g, h in itertools.product(range(nG), repeat=2):
         gh = G.op(g, h)
         v = slot[h][:, None]
-        for u in slot[g].tolist():
-            val = fs(g, h, u, v)
-            corner = (R.mul[val, action.one(g)] != val)[:, 0]
+        for u in chunks(slot[g], v.size * r.size):
+            val = fs(g, h, u, v)   # (u, v, 1)
+            corner = (R.mul[val, action.one(g)] != val)[..., 0]
             bad = np.stack([   # balance, left linearity, right linearity
                 fs(g, h, R.mul[u, ahat[g][r]], v) != fs(g, h, u, R.mul[r, v]),
                 fs(g, h, R.mul[r, u], v) != R.mul[r, val],
                 fs(g, h, u, R.mul[v, ahat[h][r]]) != R.mul[val, ahat[gh][r]]])
-            hit = np.flatnonzero(corner | bad.any(axis=(0, 2)))
+            hit = np.flatnonzero(corner | bad.any(axis=(0, 3)))
             if not hit.size:
                 continue
-            if corner[hit[0]]:
+            ui, vi = divmod(int(hit[0]), len(v))
+            if corner[ui, vi]:
                 raise DefectError("factor set leaves the 1_g corner")
-            ri, kind = np.argwhere(bad[:, hit[0], :].T)[0]
+            ri, kind = np.argwhere(bad[:, ui, vi, :].T)[0]
             if kind == 0:
-                raise DefectError(f"balance fails at g={g},h={h},u={u},"
-                                  f"v={v[hit[0], 0]},r={r[0, ri]}")
+                raise DefectError(f"balance fails at g={g},h={h},"
+                                  f"u={u[ui, 0, 0]},v={v[vi, 0]},"
+                                  f"r={r[0, ri]}")
             raise DefectError("left linearity fails" if kind == 1
                               else "right linearity fails")
 
@@ -412,7 +428,7 @@ def theta_factor_set(action: PartialAction) -> ThetaFactorSet:
         gh, hl = G.op(g, h), G.op(h, l)
         v, w = slot[h][:, None], slot[l][None, :]
         vw = fs(h, l, v, w)
-        for u in slot[g].tolist():
+        for u in chunks(slot[g], vw.size):
             if (fs(gh, l, fs(g, h, u, v), w) != fs(g, hl, u, vw)).any():
                 raise DefectError(f"pentagon fails at ({g},{h},{l})")
     return ThetaFactorSet(action, basis, values, True, True, exhaustive)
