@@ -395,8 +395,9 @@ def theta_factor_set(action: PartialAction) -> ThetaFactorSet:
 
     def chunks(us, cells):
         """us[:, None, None] in runs of whole u's of at most _CHUNK_CELLS
-        cells, each u spanning `cells` cells."""
-        step = max(1, _CHUNK_CELLS // cells)
+        cells, each u spanning `cells` cells; a u spans none when the
+        other slots are empty (a zero domain's generators are ())."""
+        step = max(1, _CHUNK_CELLS // cells if cells else len(us))
         for lo in range(0, len(us), step):
             yield us[lo:lo + step, None, None]
 

@@ -241,3 +241,49 @@ def test_honest_factor_sets_pass_both(name):
     act = fixtures.fixture(name)
     assert _first_failure(_per_u_theta_checks, act) is None
     assert crossed.theta_factor_set(act).pentagon_checked
+
+
+def _zero_domain_action(budget=None):
+    """The F2 cube's shift restricted at (1,0,0): 1_g = 0 for g != 1, so
+    D_g = 0 and a zero domain's additive generators are ()."""
+    from dataclasses import replace
+    from pargal.finring import element_from_components
+    from pargal.partial_action import restrict_global
+    glob = fixtures.shift_global("GF(2)")
+    e = element_from_components(glob.ring, (1, 0, 0))
+    act = restrict_global(glob, e, tag="corner (1,0,0)")
+    if budget is not None:
+        act = replace(act, budgets=act.budgets.capped(budget))
+    return act
+
+
+@pytest.mark.parametrize("budget", [None, 10])
+def test_zero_domain_factor_set_agrees_with_per_u_loop(monkeypatch, budget):
+    act = _zero_domain_action(budget)
+    fs = crossed.theta_factor_set(act)
+    basis = fs.basis
+    if budget is None:
+        assert fs.exhaustive
+    else:
+        assert not fs.exhaustive
+        assert () in basis.generators   # the empty-slot path runs
+    assert _first_failure(_per_u_theta_checks, act) is None
+    n, order = len(fs.values), act.ring.order
+    for i, j in itertools.product(range(n), repeat=2):
+        for value in range(order):
+            if value == fs.values[i, j]:
+                continue
+            _corrupt(monkeypatch, {(i, j): value})
+            assert (_first_failure(crossed.theta_factor_set, act)
+                    == _first_failure(_per_u_theta_checks, act))
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget", "10"]])
+def test_zero_domain_delta_theta_report(tmp_path, budget):
+    ini = tmp_path / "corner.ini"
+    ini.write_text((ROOT / "perfbench/configs/e1.ini").read_text()
+                   .replace("idempotent = (1,1,0)", "idempotent = (1,0,0)"))
+    code, out, err = _run(["delta-theta", "--config", str(ini), *budget])
+    assert (code, err) == (0, "")
+    assert "\nDelta(Theta) = M_1(GF(2)), order 2\n" in out
