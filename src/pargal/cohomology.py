@@ -589,7 +589,7 @@ def _structure_engine(action: PartialAction, n: int) -> CohomologyGroup:
     factors, gen_vecs = (), []
     if h_order > 1:
         K = lam.basis()
-        diag, _, _, _, Vinv = intmat.smith_normal_form(
+        diag, _, Vinv = intmat.smith_normal_form(
             _solve_triangular(K, b_lat.basis()))
         keep = [i for i, d in enumerate(diag) if d > 1]
         factors = tuple(diag[i] for i in keep)

@@ -8,15 +8,16 @@ Existence is decidable outright.  Writing v_y for the vector
 (alpha_g(y·1_{g^-1}))_g in prod_g D_g, the left sides sweep the additive
 subgroup generated by {a·v_b : a, b additive generators of R} (the sum is
 additive in each x_i and each y_i), so coordinates exist iff the Kronecker
-vector lies in an integer lattice.  A solution of the lattice system also
-produces an explicit certificate with one pair per additive generator.
+vector lies in an integer lattice.  Membership is one modular kernel
+lattice (`intmat.kernel_lattice`), and a solution of the lattice system
+also produces an explicit certificate with one pair per additive generator.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -112,27 +113,15 @@ def _add_multiple(ring: FiniteRing, c: int, a: int) -> int:
 
 def _solve_row_system(rows, moduli, target):
     """Integer coefficients c with sum c_i·rows_i = target modulo the
-    per-column moduli, or None.  Columns all share index space with target."""
-    n_cols = len(target)
-    aug = [list(r) for r in rows]
-    for j, m in enumerate(moduli):
-        aug.append([m if k == j else 0 for k in range(n_cols)])
-    if not aug:
-        return [] if not any(target) else None
-    diag, U, V, Uinv, Vinv = intmat.smith_normal_form(aug)
-    tv = [sum(target[i] * V[i][j] for i in range(n_cols)) for j in range(n_cols)]
-    w = [0] * len(aug)
-    for j in range(n_cols):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            if tv[j] != 0:
-                return None
-        else:
-            if tv[j] % d:
-                return None
-            w[j] = tv[j] // d
-    coeff = [sum(w[i] * U[i][k] for i in range(len(aug))) for k in range(len(aug))]
-    return coeff[:len(rows)]
+    per-column moduli, or None.  Columns all share index space with target.
+
+    The x in the kernel lattice of [-target, *rows] have x_0 ranging over
+    an ideal of Z, which is all of Z exactly when target is in the span;
+    then Hermite row 0 is (1, c)."""
+    A = [[-t for t in target], *rows]
+    lat = intmat.kernel_lattice(A, [lcm(*moduli)] * len(A), moduli)
+    head = lat.basis()[0]
+    return head[1:] if head[0] == 1 else None
 
 
 def _span_certificate(action: PartialAction):

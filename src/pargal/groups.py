@@ -226,7 +226,7 @@ def abelian_structure(elements, op, identity) -> FinAbPresentation:
             rels.append(rel)
     # g^n = 1 for every g, so the relation lattice contains n·Z^k
     M = intmat.RowLattice([n] * k, rels).basis()
-    diag, U, V, Uinv, Vinv = intmat.smith_normal_form(M)
+    diag, V, Vinv = intmat.smith_normal_form(M)
     # Z^k / rows(M) = sum Z/d_i in the coordinates c -> c V
     keep = [i for i, d in enumerate(diag) if d > 1]
     factors = tuple(diag[i] for i in keep)

@@ -1,13 +1,15 @@
 """Exact integer matrix routines: Smith/Hermite normal forms, lattices.
 
 Matrices are lists of rows of python ints, so every computation is
-arbitrary precision.  Sizes here stay in the low hundreds; simple
-pivot-by-smallest reduction is plenty.  Every lattice carries its
-moduli: a `RowLattice` is span(rows) + (+) m_i Z, kept in modular
-Hermite form with entries reduced mod the moduli, so no entry grows.
-Kernels of maps between finite abelian groups never leave the moduli
-either, so `kernel_lattice` works on numpy rows reduced mod the domain
-orders.
+arbitrary precision.  Every lattice carries its moduli: a `RowLattice`
+is span(rows) + (+) m_i Z, kept in modular Hermite form with entries
+reduced mod the moduli, so no entry grows.  Kernels of maps between
+finite abelian groups never leave the moduli either, so
+`kernel_lattice` works on numpy rows reduced mod the domain orders; it
+also decides whether a target is in a span mod moduli (Hermite row 0 of
+the kernel of [-target; rows], as in the Galois solve).  The
+pivot-by-smallest Smith form remains for quotient generators, on
+unreduced ints, and tracks only its column transform.
 """
 from __future__ import annotations
 
@@ -29,35 +31,18 @@ def transpose(rows: list[list[int]]) -> list[list[int]]:
 
 
 def smith_normal_form(mat):
-    """Return (diag, U, V, Uinv, Vinv) with U*mat*V in Smith normal form.
+    """Return (diag, V, Vinv) with mat*V = W*diag for a unimodular W.
 
     diag is the list of diagonal entries d_1 | d_2 | ... (nonnegative,
-    zeros trailing).  U, V are unimodular; Uinv and Vinv are their
-    inverses, maintained alongside so callers can pull quotient-group
-    generators without a separate inversion.
+    zeros trailing).  V is unimodular and Vinv its inverse, maintained
+    alongside so callers can pull quotient-group generators without a
+    separate inversion.  Row operations reduce the matrix but are not
+    tracked.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
     S = [[int(x) for x in row] for row in mat]
-    U, Uinv, V, Vinv = eye(m), eye(m), eye(n), eye(n)
-
-    def row_add(i, j, c):  # row i += c * row j ; Uinv col j -= c * col i
-        S[i] = [a + c * b for a, b in zip(S[i], S[j])]
-        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
-        for r in range(m):
-            Uinv[r][j] -= c * Uinv[r][i]
-
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-        for r in range(m):
-            Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
-
-    def row_neg(i):
-        S[i] = [-a for a in S[i]]
-        U[i] = [-a for a in U[i]]
-        for r in range(m):
-            Uinv[r][i] = -Uinv[r][i]
+    V, Vinv = eye(n), eye(n)
 
     def col_add(j, i, c):  # col j += c * col i ; Vinv row i -= c * row j
         for r in range(m):
@@ -86,7 +71,7 @@ def smith_normal_form(mat):
         if pivot is None:
             break
         if pivot != (t, t):
-            row_swap(t, pivot[0])
+            S[t], S[pivot[0]] = S[pivot[0]], S[t]
             col_swap(t, pivot[1])
         # clear row and column t
         dirty = True
@@ -95,9 +80,9 @@ def smith_normal_form(mat):
             for i in range(t + 1, m):
                 if S[i][t]:
                     q = S[i][t] // S[t][t]
-                    row_add(i, t, -q)
+                    S[i] = [a - q * b for a, b in zip(S[i], S[t])]
                     if S[i][t]:
-                        row_swap(t, i)
+                        S[t], S[i] = S[i], S[t]
                         dirty = True
             for j in range(t + 1, n):
                 if S[t][j]:
@@ -116,14 +101,13 @@ def smith_normal_form(mat):
             if bad is not None:
                 break
         if bad is not None:
-            row_add(t, bad, 1)
+            S[t] = [a + b for a, b in zip(S[t], S[bad])]
             continue
-        if S[t][t] < 0:
-            row_neg(t)
         t += 1
 
-    diag = [S[i][i] for i in range(min(m, n))]
-    return diag, U, V, Uinv, Vinv
+    # each pivot row is 0 off the diagonal: its sign is a row operation
+    diag = [abs(S[i][i]) for i in range(min(m, n))]
+    return diag, V, Vinv
 
 
 def kernel_lattice(A, dom_moduli, cod_moduli) -> RowLattice:

@@ -30,7 +30,7 @@ class Budgets:
     cochain_size: int = 10_000_000         # values of one cochain, |G|^n
     structure_positions: int = 200_000     # positions of delta^n, |G|^(n+1)
     galois_search: int = 1_000_000         # pair lists the Galois search tries
-    galois_lattice: int = 40_000_000       # rows * cols^2 of its Smith reduction
+    galois_lattice: int = 40_000_000       # (rows + cols) * cols^2 of its lattice
     basis_nodes: int = 20_000              # nodes of the free-basis search
     assoc_triples: int = 1_000_000         # triples checked one by one
 

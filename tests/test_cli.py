@@ -36,6 +36,21 @@ permutation = 0
 frobenius = 1
 """
 
+# 72 elements, C6 by Frobenius on both factors: the Galois lattice
+# system has 9 rows in 18 columns, with moduli 2, 6, 6, ...
+F8F9C6_INI = """
+[ring]
+descriptor = GF(8;x^3+x+1)*GF(9;x^2+1)
+
+[group]
+descriptor = C6
+
+[action]
+kind = generator
+permutation = 0,1
+frobenius = 1,1
+"""
+
 F2C6G_INI = """
 [ring]
 descriptor = GF(2)*GF(2)*GF(2)*GF(2)*GF(2)*GF(2)
@@ -252,6 +267,22 @@ def test_config_frobenius_generator(tmp_path, capsys):
     code, out, _ = run(capsys, ["delta-theta", "--config", str(cfg)])
     assert code == 0
     assert "Delta(Theta) = M_2(GF(2)), order 16" in out
+
+
+def test_f8f9c6_not_galois(tmp_path, capsys):
+    cfg = tmp_path / "f8f9c6.ini"
+    cfg.write_text(F8F9C6_INI)
+    source = ["--config", str(cfg)]
+    code, out, _ = run(capsys, ["galois", *source])
+    assert code == 0
+    assert "galois: no (conclusive)" in out
+    code, out, _ = run(capsys, ["census", *source])
+    assert code == 0
+    assert "galois corners: 1 of 4" in out
+    for command in ("delta-theta", "sequence"):
+        code, _, err = run(capsys, [command, *source])
+        assert code == 2
+        assert "not a partial Galois extension" in err
 
 
 def test_parse_error_carries_line(tmp_path, capsys):

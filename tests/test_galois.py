@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pargal import fixtures, galois
+from pargal import fixtures, galois, intmat
 from pargal.errors import PreconditionError
 from pargal.finring import frobenius_table, galois_field, make_ring
 from pargal.groups import cyclic_group
@@ -87,6 +87,32 @@ def test_frobenius_field_uses_linear_solve():
     assert isinstance(cert, galois.GaloisCertificate)
     assert cert.strategy == "linear-solve"
     assert galois.verify_certificate(act, cert).ok
+
+
+# moduli rich in common divisors, so the lcm E exceeds most moduli
+@settings(max_examples=300)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+             max_size=5),
+    st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), min_size=n, max_size=n),
+    st.lists(st.integers(-20, 20), min_size=n, max_size=n))))
+def test_solve_row_system_matches_row_lattice(case):
+    rows, moduli, target = case
+    got = galois._solve_row_system(rows, moduli, target)
+    assert (got is None) == (not intmat.RowLattice(moduli, rows).contains(target))
+    if got is not None:
+        assert len(got) == len(rows)
+        for j, m in enumerate(moduli):
+            assert (sum(c * r[j] for c, r in zip(got, rows)) - target[j]) % m == 0
+
+
+def test_solve_row_system_without_rows_or_moduli():
+    # no rows: only targets in the moduli lattice are reached
+    assert galois._solve_row_system([], [4, 6], [8, -6]) == []
+    assert galois._solve_row_system([], [4, 6], [1, 0]) is None
+    # no moduli: the empty target is every row's zero combination
+    assert galois._solve_row_system([[], []], [], []) == [0, 0]
+    assert galois._solve_row_system([], [], []) == []
 
 
 def test_is_galois_summary():
