@@ -557,7 +557,7 @@ def _delta_matrix(action: PartialAction, n: int):
         if (coords < 0).any():
             raise DefectError("delta image outside its corner's unit group")
         rows[:, off_c[at][:, None] + np.arange(table.shape[1])] = coords
-    return rows.tolist(), dom, cod
+    return rows, dom, cod
 
 
 REP_COSET_CAP = 4096  # list one representative per coset up to this |H|

@@ -24,7 +24,8 @@ from math import prod
 
 import numpy as np
 
-from .cohomology import Cochain, coboundary, cochain_mul, identity_cochain
+from .cohomology import (Cochain, _corners, _delta_batch, coboundary,
+                         cochain_mul)
 from .errors import DefectError, PreconditionError
 from .partial_action import (Budgets, PartialAction, _additive_generators,
                              invariant_subring)
@@ -313,16 +314,15 @@ def skew_group_ring(action: PartialAction) -> GradedAlgebra:
 
 
 def _z2_witness(action: PartialAction, f: Cochain):
-    """First triple where the 2-cocycle identity fails, or None."""
-    df = coboundary(action, f)
-    ident = identity_cochain(action, 3)
-    if df == ident:
+    """First triple, in lexicographic order, where the 2-cocycle identity
+    delta f = 1 fails, or None: one batched delta^2, held as a Cochain so
+    the cochain-size budget refuses it, against the corners of G^3."""
+    df = Cochain(action, 3, _delta_batch(action, 2, f.values[None, :])[0])
+    bad = np.flatnonzero(df.values != _corners(action, 3))
+    if not bad.size:
         return None
-    names = action.group.names
-    for gs in itertools.product(range(action.group.order), repeat=3):
-        if df[gs] != ident[gs]:
-            return tuple(names[g] for g in gs)
-    raise DefectError("coboundary differs but no witness position found")
+    gs = np.unravel_index(int(bad[0]), (action.group.order,) * 3)
+    return tuple(action.group.names[int(g)] for g in gs)
 
 
 def crossed_product(action: PartialAction, f: Cochain) -> GradedAlgebra:

@@ -11,6 +11,12 @@ contract:
 * products: mixed radix over the component indices, leftmost component
   most significant.
 * corner rings Re: members sorted by ambient index.
+
+A product's corner at e = (e_1, ..., e_m) is the product of the
+component corners R_j·e_j, so `product_corner` builds it from those, and
+`ring_components`, `slot_maps` and `product_element_named` read a
+product's descriptor, automorphism and element names off its components:
+none of them tabulates the product.
 """
 from __future__ import annotations
 
@@ -449,17 +455,15 @@ def frobenius_table(ring: FiniteRing) -> np.ndarray:
 
 # ---------------------------------------------------------------- products
 
-def product_ring(parts, max_order: int = DEFAULT_RING_CAP) -> FiniteRing:
-    parts = tuple(parts)
-    if not parts:
-        raise ValueError("empty product")
-    if len(parts) == 1:
-        return parts[0]
-    n = prod(r.order for r in parts)
-    if n > max_order:
-        raise BudgetError("ring-order", max_order, n)
-    # mixed radix, leftmost component most significant: each step puts the
-    # next component's table on its own pair of axes and flattens
+def _strides(sizes) -> list[int]:
+    """Mixed-radix place values, leftmost component most significant."""
+    return [prod(sizes[i + 1:]) for i in range(len(sizes))]
+
+
+def _product_tables(parts):
+    """(add, mul, zero, one, names) of the product of rings, mixed radix
+    over the component indices: each step puts the next component's table
+    on its own pair of axes and flattens."""
     add = mul = np.zeros((1, 1), dtype=np.int64)
     zero = one = 0
     for r in parts:
@@ -471,38 +475,86 @@ def product_ring(parts, max_order: int = DEFAULT_RING_CAP) -> FiniteRing:
         zero, one = zero * s + r.zero, one * s + r.one
     names = tuple("(" + ",".join(t) + ")"
                   for t in itertools.product(*(r.names for r in parts)))
+    return add, mul, zero, one, names
+
+
+def product_ring(parts, max_order: int = DEFAULT_RING_CAP) -> FiniteRing:
+    parts = tuple(parts)
+    if not parts:
+        raise ValueError("empty product")
+    if len(parts) == 1:
+        return parts[0]
+    n = prod(r.order for r in parts)
+    if n > max_order:
+        raise BudgetError("ring-order", max_order, n)
+    add, mul, zero, one, names = _product_tables(parts)
     tag = "*".join(r.tag for r in parts)
     return FiniteRing(add=add, mul=mul, zero=zero, one=one,
                       names=names, tag=tag, components=parts)
+
+
+def product_corner(parts, comps) -> FiniteRing:
+    """corner_ring(product_ring(parts), e) for the idempotent e with
+    component indices comps.  Re is the product of the corners R_j·e_j,
+    so it is built from those: the product ring is never tabulated."""
+    parts = tuple(parts)
+    if len(parts) == 1:
+        return corner_ring(parts[0], comps[0])
+    corners = [r if c == r.one else corner_ring(r, c)
+               for r, c in zip(parts, comps)]
+    add, mul, zero, one, names = _product_tables(corners)
+    tag = "*".join(r.tag for r in parts)
+    e = "(" + ",".join(r.names[c] for r, c in zip(parts, comps)) + ")"
+    return FiniteRing(add=add, mul=mul, zero=zero, one=one, names=names,
+                      tag=f"corner({tag};e={e})")
+
+
+def product_digits(parts, a: int) -> tuple[int, ...]:
+    """Component indices of element a of product_ring(parts)."""
+    sizes = [r.order for r in parts]
+    return tuple((a // st) % sz for st, sz in zip(_strides(sizes), sizes))
+
+
+def product_element_named(parts, name: str) -> int | None:
+    """Index in product_ring(parts) of the element printed as name, or
+    None.  It is read off the components' names (which hold no comma
+    outside parentheses), so the product is never built."""
+    if len(parts) == 1:
+        return parts[0].names.index(name) if name in parts[0].names else None
+    if not (name.startswith("(") and name.endswith(")")):
+        return None
+    pieces = _split_top(name[1:-1], ",")
+    if (len(pieces) != len(parts)
+            or any(t not in r.names for t, r in zip(pieces, parts))):
+        return None
+    strides = _strides([r.order for r in parts])
+    return sum(st * r.names.index(t)
+               for st, r, t in zip(strides, parts, pieces))
 
 
 def component_indices(ring: FiniteRing, a: int) -> tuple[int, ...]:
     """Decode an element of a product ring to its component indices."""
     if not ring.components:
         raise ValueError("not a product ring")
-    sizes = [r.order for r in ring.components]
-    strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
-    return tuple((a // strides[i]) % sizes[i] for i in range(len(sizes)))
+    return product_digits(ring.components, a)
 
 
 def element_from_components(ring: FiniteRing, comps) -> int:
     if not ring.components:
         raise ValueError("not a product ring")
     sizes = [r.order for r in ring.components]
-    strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+    strides = _strides(sizes)
     comps = tuple(comps)
     if len(comps) != len(sizes) or any(not 0 <= c < s for c, s in zip(comps, sizes)):
         raise ValueError("bad component tuple")
     return sum(c * strides[i] for i, c in enumerate(comps))
 
 
-def product_automorphism(ring: FiniteRing, perm, frob=None) -> np.ndarray:
-    """Automorphism of a product ring: component j is sent through
-    frobenius^frob[j] and lands in slot perm[j].  Permuted slots must hold
-    identically constructed components."""
-    parts = ring.components
-    if not parts:
-        raise ValueError("not a product ring")
+def slot_maps(parts, perm, frob=None) -> list[np.ndarray]:
+    """The automorphism of product_ring(parts) that sends component j
+    through frobenius^frob[j] into slot perm[j], one slot at a time: the
+    index table of frobenius^frob[j] on parts[j] for each j.  Permuted
+    slots must hold identically constructed components."""
     m = len(parts)
     perm = list(perm)
     if sorted(perm) != list(range(m)):
@@ -513,17 +565,30 @@ def product_automorphism(ring: FiniteRing, perm, frob=None) -> np.ndarray:
             raise ValueError("permutation mixes non-identical components")
         if frob[j] and parts[j].field_params is None:
             raise ValueError("frobenius twist on a non-field component")
+    maps = []
+    for j, r in enumerate(parts):
+        d = np.arange(r.order, dtype=np.int64)
+        if frob[j] and r.field_params:
+            fr = frobenius_table(r)
+            for _ in range(frob[j] % r.field_params[1]):
+                d = fr[d]
+        maps.append(d)
+    return maps
+
+
+def product_automorphism(ring: FiniteRing, perm, frob=None) -> np.ndarray:
+    """The automorphism of slot_maps on a product ring, as an index
+    table."""
+    parts = ring.components
+    if not parts:
+        raise ValueError("not a product ring")
+    maps = slot_maps(parts, perm, frob)
     sizes = [r.order for r in parts]
-    strides = [prod(sizes[i + 1:]) for i in range(m)]
+    strides = _strides(sizes)
     idx = np.arange(ring.order, dtype=np.int64)
     out = np.zeros(ring.order, dtype=np.int64)
-    for j in range(m):
-        d = (idx // strides[j]) % sizes[j]
-        if frob[j] and parts[j].field_params:
-            fr = frobenius_table(parts[j])
-            for _ in range(frob[j] % parts[j].field_params[1]):
-                d = fr[d]
-        out += strides[perm[j]] * d
+    for j, t in enumerate(maps):
+        out += strides[perm[j]] * t[(idx // strides[j]) % sizes[j]]
     return out
 
 
@@ -596,22 +661,34 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     raise ValueError("GF order must be >= 2")
 
 
-def make_ring(descriptor: str, max_order: int = DEFAULT_RING_CAP) -> FiniteRing:
-    """Build a ring from a descriptor: Z6, GF(4;x^2+x+1), products with '*'."""
+def ring_components(descriptor: str,
+                    max_order: int = DEFAULT_RING_CAP) -> tuple[FiniteRing, ...]:
+    """The rings a descriptor multiplies, without their product: a single
+    ring when it names no product.  The product's order still counts
+    against max_order."""
     expr = descriptor.strip()
     tops = [t.strip() for t in _split_top(expr, "*")]
     if len(tops) > 1:
         built = {t: make_ring(t, max_order) for t in dict.fromkeys(tops)}
-        return product_ring([built[t] for t in tops], max_order)
+        parts = tuple(built[t] for t in tops)
+        n = prod(r.order for r in parts)
+        if n > max_order:
+            raise BudgetError("ring-order", max_order, n)
+        return parts
     if expr.startswith("(") and expr.endswith(")"):
-        return make_ring(expr[1:-1], max_order)
+        return ring_components(expr[1:-1], max_order)
     m = _Z_RE.match(expr)
     if m:
-        return zmod(int(m.group(1)), max_order)
+        return (zmod(int(m.group(1)), max_order),)
     m = _GF_RE.match(expr)
     if m:
         q = int(m.group(1))
         p, k = _factor_prime_power(q)
         poly = parse_poly(m.group(2), p) if m.group(2) else None
-        return galois_field(p, k, poly, max_order)
+        return (galois_field(p, k, poly, max_order),)
     raise ValueError(f"cannot parse ring descriptor {descriptor!r}")
+
+
+def make_ring(descriptor: str, max_order: int = DEFAULT_RING_CAP) -> FiniteRing:
+    """Build a ring from a descriptor: Z6, GF(4;x^2+x+1), products with '*'."""
+    return product_ring(ring_components(descriptor, max_order), max_order)

@@ -274,10 +274,13 @@ def kernel_image_orders(A, dom_moduli, cod_moduli):
     lattice is the preimage of 0 in Z^len(dom_moduli).  Its index in
     that Z^k is the image order (first isomorphism theorem), so no image
     lattice is built."""
-    for j, d in enumerate(dom_moduli):
-        if any(d * x % e for x, e in zip(A[j], cod_moduli)):
-            raise PreconditionError(
-                f"generator {j} image violates its order {d}")
+    A = intmat.as_rows(A, dom_moduli, cod_moduli)
+    d, e = (np.array(m, dtype=A.dtype) for m in (dom_moduli, cod_moduli))
+    bad = np.flatnonzero((d[:, None] * A % e).any(axis=1))
+    if bad.size:
+        j = int(bad[0])
+        raise PreconditionError(
+            f"generator {j} image violates its order {dom_moduli[j]}")
     ker_lat = intmat.kernel_lattice(A, dom_moduli, cod_moduli)
     dom_order = prod(dom_moduli)
     image_order = ker_lat.covolume()

@@ -110,6 +110,17 @@ def smith_normal_form(mat):
     return diag, V, Vinv
 
 
+def as_rows(A, dom_moduli, cod_moduli) -> np.ndarray:
+    """A as a (len(dom_moduli), len(cod_moduli)) array whose products with
+    the moduli cannot overflow: int64 when they stay below 2**62, python
+    ints otherwise."""
+    A = np.asarray(A).reshape(len(dom_moduli), len(cod_moduli))
+    top = max([*dom_moduli, *cod_moduli, 1])
+    if A.dtype == object or (int(np.abs(A).max(initial=0)) + 1) * top >= 2 ** 62:
+        return A.astype(object)
+    return A.astype(np.int64, copy=False)
+
+
 def kernel_lattice(A, dom_moduli, cod_moduli) -> RowLattice:
     """{x in Z^k : xA in (+) e_j Z} + (+) d_i Z as a RowLattice.
 
@@ -125,10 +136,11 @@ def kernel_lattice(A, dom_moduli, cod_moduli) -> RowLattice:
     top = max([*dom_moduli, *cod_moduli, 1])
     # every intermediate value stays below (k + 2)·top²
     dtype = np.int64 if (k + 2) * top * top < 2 ** 62 else object
+    A = as_rows(A, dom_moduli, cod_moduli)
     d = np.array(dom_moduli, dtype=dtype)
     B = np.eye(k, dtype=dtype)
     for j, e in enumerate(cod_moduli):
-        v = B @ np.array([A[i][j] % e for i in range(k)], dtype=dtype) % e
+        v = B @ (A[:, j] % e).astype(dtype) % e
         while True:
             nz = np.flatnonzero(v)
             if not len(nz):

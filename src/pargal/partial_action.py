@@ -289,6 +289,29 @@ def trivial_partial_action(ring: FiniteRing, group: FiniteGroup,
                          budgets=budgets)
 
 
+def check_automorphisms(R: FiniteRing, tables, labels) -> None:
+    """Raise ValueError naming labels[i] unless every index table
+    tables[i] is a ring automorphism of R.  Each law is one array identity
+    over the additive generators a, b (and every r); the first failure is
+    raised in the order of the loops i, a, b, additive before
+    multiplicative at each a."""
+    idx = np.arange(R.order)
+    gens = np.asarray(_additive_generators(R, idx), dtype=np.int64)
+    for s, label in zip(tables, labels):
+        if not np.array_equal(np.sort(s), idx):
+            raise ValueError(f"{label} is not a bijection")
+        if int(s[R.one]) != R.one:
+            raise ValueError(f"{label} moves the identity")
+        sa = s[gens][:, None]
+        not_add = np.flatnonzero((s[R.add[gens]] != R.add[sa, s]).any(axis=1))
+        not_mul = np.flatnonzero(
+            (s[R.mul[gens[:, None], gens]] != R.mul[sa, sa.T]).any(axis=1))
+        if not_add.size and not (not_mul.size and not_mul[0] < not_add[0]):
+            raise ValueError(f"{label} is not additive")
+        if not_mul.size:
+            raise ValueError(f"{label} is not multiplicative")
+
+
 @dataclass(frozen=True, eq=False)
 class GlobalAction:
     ring: FiniteRing
@@ -302,28 +325,9 @@ class GlobalAction:
         nR = R.order
         if self.sigma.shape != (nG, nR):
             raise ValueError("sigma tables have wrong shape")
-        idx = np.arange(nR)
-        if not np.array_equal(self.sigma[self.group.identity], idx):
+        if not np.array_equal(self.sigma[self.group.identity], np.arange(nR)):
             raise ValueError("sigma_1 is not the identity")
-        # each law is one array identity over the additive generators a, b
-        # (and every r); the first failure is raised in the order of the
-        # loops g, a, b, additive before multiplicative at each a
-        gens = np.asarray(_additive_generators(R, idx), dtype=np.int64)
-        for g in range(nG):
-            s = self.sigma[g]
-            if not np.array_equal(np.sort(s), idx):
-                raise ValueError(f"sigma_{g} is not a bijection")
-            if int(s[R.one]) != R.one:
-                raise ValueError(f"sigma_{g} moves the identity")
-            sa = s[gens][:, None]
-            not_add = np.flatnonzero(
-                (s[R.add[gens]] != R.add[sa, s]).any(axis=1))
-            not_mul = np.flatnonzero(
-                (s[R.mul[gens[:, None], gens]] != R.mul[sa, sa.T]).any(axis=1))
-            if not_add.size and not (not_mul.size and not_mul[0] < not_add[0]):
-                raise ValueError(f"sigma_{g} is not additive")
-            if not_mul.size:
-                raise ValueError(f"sigma_{g} is not multiplicative")
+        check_automorphisms(R, self.sigma, [f"sigma_{g}" for g in range(nG)])
         for g in range(nG):
             bad = (self.sigma[g][self.sigma]
                    != self.sigma[self.group.table[g]]).any(axis=1)
@@ -344,29 +348,31 @@ def as_partial(glob: GlobalAction) -> PartialAction:
                          tag=glob.tag or "global", budgets=glob.budgets)
 
 
+def restrict_sigma(corner: FiniteRing, group: FiniteGroup, one_g, sigma,
+                   tag: str = "", budgets: Budgets = Budgets()) -> PartialAction:
+    """A global action restricted to a corner Re, from its tables on Re:
+    one_g[g] = e·sigma_g(e) and sigma[g] = sigma_g on each member, both as
+    corner indices (-1 where sigma_g leaves Re).  alpha_g is sigma_g cut
+    down to D_{g^-1} = Re·1_{g^-1}, which it carries into Re."""
+    one_g = np.asarray(one_g, dtype=np.int64)
+    in_dom = (corner.mul[:, one_g[group.inverse_table]].T
+              == np.arange(corner.order))
+    alpha = np.where(in_dom, sigma, -1)
+    return PartialAction(corner, group, one_g, alpha, tag=tag, budgets=budgets)
+
+
 def restrict_global(glob: GlobalAction, e: int, tag: str = "") -> PartialAction:
     """Restrict a global action to the corner Se: 1_g = e·sigma_g(e),
     alpha_g = sigma_g cut down to D_{g^-1}."""
-    R, G, sig = glob.ring, glob.group, glob.sigma
-    if not R.is_idempotent(e):
-        raise ValueError(f"{e} is not idempotent")
-    corner = corner_ring(R, e)
+    R, sig = glob.ring, glob.sigma
+    corner = corner_ring(R, e)   # refuses an e that is not idempotent
     members = np.array(R.corner_members(e), dtype=np.int64)
     to_loc = np.full(R.order, -1, dtype=np.int64)
     to_loc[members] = np.arange(len(members))
-    nG = G.order
-    inv = G.inverse_table
-    one_amb = np.array([int(R.mul[e, sig[g][e]]) for g in range(nG)],
-                       dtype=np.int64)
-    one_loc = to_loc[one_amb]
-    alpha = np.full((nG, corner.order), -1, dtype=np.int64)
-    for g in range(nG):
-        e_in = int(one_amb[inv[g]])
-        dom = members[R.mul[members, e_in] == members]
-        alpha[g][to_loc[dom]] = to_loc[sig[g][dom]]
-    return PartialAction(corner, G, one_loc, alpha,
-                         tag=tag or f"{glob.tag or 'global'}|e={R.names[e]}",
-                         budgets=glob.budgets)
+    return restrict_sigma(corner, glob.group, to_loc[R.mul[e, sig[:, e]]],
+                          to_loc[sig[:, members]],
+                          tag=tag or f"{glob.tag or 'global'}|e={R.names[e]}",
+                          budgets=glob.budgets)
 
 
 def corner_transport(glob: GlobalAction, e: int, k: int):

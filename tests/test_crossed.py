@@ -526,3 +526,24 @@ def test_theta_fast_path_checks_additivity(monkeypatch):
     with pytest.raises(DefectError,
                        match=r"^factor set not additive in slot 1 at "):
         crossed.theta_factor_set(act)
+
+
+@pytest.mark.parametrize("name", ["E0", "E1", "E2", "E3"])
+def test_z2_witness_is_the_first_scalar_failure(name):
+    """The batched witness names the first triple, lexicographically, where
+    the scalar coboundary of a random 2-cochain differs from 1."""
+    act = fixtures.fixture(name)
+    _, _, units = coh._position_data(act, 2)
+    ident = coh.identity_cochain(act, 3)
+    rng = random.Random(name)
+    failures = 0
+    for _ in range(25):
+        f = coh.Cochain(act, 2, np.array([rng.choice(u) for u in units]))
+        df = coh.coboundary(act, f)
+        want = next((tuple(act.group.names[g] for g in gs)
+                     for gs in coh.positions(act, 3) if df[gs] != ident[gs]),
+                    None)
+        assert crossed._z2_witness(act, f) == want
+        failures += want is not None
+    # over GF(2) every corner's only unit is its identity: no non-cocycles
+    assert (failures > 0) == (name in ("E2", "E3"))
