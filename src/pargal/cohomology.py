@@ -5,11 +5,13 @@ R·1_{g1}·1_{g1g2}···1_{g1..gn}; inverses are always corner inverses.
 Two engines compute Z/B/H: an enumeration engine (depth-first kernel
 search) and a structure engine (corner unit presentations, generator
 matrices for delta, kernel and image lattices that carry their moduli).
-The structure engine reads |H| off the ratio of the two covolumes, and
-only when |H| > 1 runs one Smith form of B's basis in Z's basis for H's
-invariant factors and generators.  Both engines list B^n as the
-subgroup generated by the coboundaries of the corner-unit generators.
-They agree wherever both run, and tests insist on it.
+The structure engine reads |H| off the ratio of the two covolumes, the
+kernel's taken from its elimination, and only when |H| > 1 runs one
+Smith form of B's basis in Z's basis for H's invariant factors and
+generators.  Its representatives are lex-least by echelon descent over
+B's Hermite basis, so it never lists B^n; the enumeration engine lists
+B^n as the subgroup generated by the coboundaries of the corner-unit
+generators.  They agree wherever both run, and tests insist on it.
 
 The engines and the witness search evaluate delta^n on whole blocks of
 value tables through a face plan, cached per (action, n): the flat index,
@@ -328,7 +330,6 @@ def _kernel_dfs(action: PartialAction, n: int) -> list[tuple[int, ...]]:
             touching[p].append(ci)
 
     # greedy ordering: maximize constraints closed at each step
-    remaining = [len({p for p, _, _ in cons[ci][1]}) for ci in range(len(cons))]
     decided = [False] * P
     order = []
     for _ in range(P):
@@ -394,10 +395,10 @@ def _image_scan(action: PartialAction, n: int) -> set[tuple[int, ...]]:
 
 @lru_cache(maxsize=64)
 def _image_rows(action: PartialAction, n: int) -> np.ndarray:
-    """B^n as the rows of a read-only array: the subgroup of C^n that the
-    delta^(n-1) images of the corner-unit generators generate, closed
-    under R.mul breadth first.  The closure costs |B^n| x #generators
-    products, not a scan of C^(n-1)."""
+    """B^n for the enumeration engine, as the rows of a read-only array:
+    the subgroup of C^n that the delta^(n-1) images of the corner-unit
+    generators generate, closed under R.mul breadth first.  The closure
+    costs |B^n| x #generators products, not a scan of C^(n-1)."""
     if n == 0:
         raise ValueError("B^0 is trivial by convention")
     R = action.ring
@@ -503,7 +504,7 @@ def _enumeration_engine(action: PartialAction, n: int) -> CohomologyGroup:
 @lru_cache(maxsize=64)
 def _corner_presentation(action: PartialAction, e: int) -> FinAbPresentation:
     cu = corner_units(action.ring, e)
-    return groups.abelian_structure(cu.elements, cu.op, e)
+    return groups.subgroup_structure(cu.elements, action.ring.mul, e)
 
 
 def _space_presentations(action: PartialAction, n: int):
@@ -516,14 +517,6 @@ def _space_presentations(action: PartialAction, n: int):
         offsets.append(len(moduli))
         moduli.extend(p.invariant_factors)
     return pos, corners, pres, moduli, offsets
-
-
-def _table_from_coords(vec, pres, offsets):
-    out = []
-    for i, p in enumerate(pres):
-        c = vec[offsets[i]:offsets[i] + len(p.invariant_factors)]
-        out.append(p.from_coords(c))
-    return tuple(out)
 
 
 def _generator_images(action: PartialAction, n: int):
@@ -564,20 +557,19 @@ REP_COSET_CAP = 4096  # list one representative per coset up to this |H|
 
 
 def _structure_engine(action: PartialAction, n: int) -> CohomologyGroup:
-    R = action.ring
     if n == 0:
         # Z^0 is a plain unit scan; no lattice work needed
         grp = _enumeration_engine(action, 0)
         return dataclasses.replace(grp, engine="structure")
     rows_n, dom_n, cod_n = _delta_matrix(action, n)
-    _, _, pres_d, mod_d, off_d = dom_n
+    mod_d = dom_n[3]
     rows_prev, dom_prev, cod_prev = _delta_matrix(action, n - 1)
     assert cod_prev[3] == mod_d, "space descriptions must line up"
     # Z = kernel lattice of delta^n and B = image lattice of delta^(n-1),
     # both inside Z^kd and both containing the moduli lattice
     z_order, _, lam = groups.kernel_image_orders(rows_n, mod_d, cod_n[3])
     _, b_order, _ = groups.kernel_image_orders(rows_prev, dom_prev[3], mod_d)
-    if not all(lam.contains(row) for row in rows_prev):
+    if intmat.images(rows_prev, rows_n, mod_d, cod_n[3]).any():
         raise DefectError("image vector outside kernel lattice")
     b_lat = intmat.RowLattice(mod_d, rows_prev)
     h_order = b_lat.covolume() // lam.covolume()
@@ -586,7 +578,7 @@ def _structure_engine(action: PartialAction, n: int) -> CohomologyGroup:
 
     # H = Z / B: a Smith form of B's basis in Z's basis gives its
     # invariant factors and cyclic generators (rows of Vinv)
-    factors, gen_vecs = (), []
+    factors, gen_vecs = (), np.zeros((0, len(mod_d)), dtype=np.int64)
     if h_order > 1:
         K = lam.basis()
         diag, _, Vinv = intmat.smith_normal_form(
@@ -594,35 +586,80 @@ def _structure_engine(action: PartialAction, n: int) -> CohomologyGroup:
         keep = [i for i, d in enumerate(diag) if d > 1]
         factors = tuple(diag[i] for i in keep)
         assert prod(factors) == h_order, "Smith form disagrees with covolumes"
-        gen_vecs = [_combine(Vinv[i], K, len(mod_d)) for i in keep]
+        gen_vecs = np.array([[x % m for x, m in zip(
+            _combine(Vinv[i], K, len(mod_d)), mod_d)] for i in keep],
+            dtype=np.int64).reshape(len(keep), len(mod_d))
 
     # representatives: one cochain per coset when |H| is listable,
-    # otherwise just the cyclic generators
+    # otherwise just the cyclic generators; each the least member of its
+    # coset, so distinct cosets have distinct tables
     if h_order <= REP_COSET_CAP:
-        rep_vecs = [_combine(combo, gen_vecs, len(mod_d)) for combo in
-                    itertools.product(*[range(d) for d in factors])]
+        rep_vecs = _grid(factors) @ gen_vecs
     else:
         rep_vecs = gen_vecs
-    labels = {b_lat.residue(v) for v in rep_vecs}
-    assert len(labels) == len(rep_vecs), "quotient labels must be distinct"
-    rep_tables = [
-        _table_from_coords([x % m for x, m in zip(v, mod_d)], pres_d, off_d)
-        for v in rep_vecs]
-
-    lex = False
-    limit = action.budgets.materialize
-    if z_order <= limit and b_order * len(rep_tables) <= limit:
-        b_rows = _materialize_image(action, n)
-        if b_rows is not None:
-            rep_tables = [_lex_least_row(R.mul[list(t), b_rows])
-                          for t in rep_tables]
-            lex = True
-    reps = tuple(Cochain(action, n, np.array(t, dtype=np.int64))
-                 for t in rep_tables)
+    rep_tables = _lex_least(rep_vecs, b_lat.basis(), dom_n)
+    assert len({t.tobytes() for t in rep_tables}) == len(rep_tables), \
+        "quotient labels must be distinct"
+    reps = tuple(Cochain(action, n, t) for t in rep_tables)
     return CohomologyGroup(n=n, z_order=z_order, b_order=b_order,
                            h_order=h_order, invariant_factors=factors,
                            representatives=reps, engine="structure",
-                           lex_least=lex)
+                           lex_least=True)
+
+
+def _lex_least(vecs, b_basis, space) -> np.ndarray:
+    """The lexicographically least value table of each coset vec + B, by
+    echelon descent over B's Hermite basis.  Value tables compare position
+    by position, and the basis is ordered by position blocks: once the
+    positions before p are fixed, only B's rows with their pivot in p's
+    block can still move p's value, and their combinations (at most
+    |U(e_p)|) reach every value the coset still allows there.  So take
+    the combination whose value has the least ring index, add it as full
+    rows, and go on to the next position."""
+    _, corners, pres, moduli, offsets = space
+    mods = np.array(moduli, dtype=np.int64)
+    vecs = vecs % mods
+    # the pivot row at column c moves it through m_c / pivot values
+    steps = mods // np.array([row[c] for c, row in enumerate(b_basis)],
+                             dtype=np.int64)
+    owner = np.repeat(np.arange(len(pres)),
+                      [len(p.invariant_factors) for p in pres])
+    look = {}
+    for i in np.unique(owner[steps > 1]).tolist():
+        lo, p = offsets[i], pres[i]
+        hi = lo + len(p.invariant_factors)
+        values, flat = _lookup(look, corners[i], p)
+        moves = _grid(steps[lo:hi].tolist()) @ np.array(
+            b_basis[lo:hi], dtype=np.int64) % mods
+        cand = (vecs[:, None, lo:hi] + moves[None, :, lo:hi]) % mods[lo:hi]
+        vecs = (vecs + moves[values[cand @ flat].argmin(axis=1)]) % mods
+    tables = np.empty((len(vecs), len(pres)), dtype=np.int64)
+    corners, offsets = np.asarray(corners), np.asarray(offsets)
+    for e in np.unique(corners).tolist():   # one gather per corner
+        at = np.flatnonzero(corners == e)
+        p = pres[at[0]]
+        values, flat = _lookup(look, e, p)
+        cols = offsets[at][:, None] + np.arange(len(flat))
+        tables[:, at] = values[vecs[:, cols] @ flat]
+    return tables
+
+
+def _grid(sizes) -> np.ndarray:
+    """Every integer vector below sizes, one row each, in lexicographic
+    order."""
+    return np.indices(sizes, dtype=np.int64).reshape(len(sizes), prod(sizes)).T
+
+
+def _lookup(cache: dict, e: int, pres: FinAbPresentation):
+    """(values, weights) of the corner at e: values[c·weights] is the unit
+    with coordinates c, weights mixed-radix with the first coordinate
+    most significant, as in by_coords."""
+    if e not in cache:
+        d = pres.invariant_factors
+        cache[e] = (np.array(pres.elements, dtype=np.int64)[pres.by_coords],
+                    np.array([prod(d[i + 1:]) for i in range(len(d))],
+                             dtype=np.int64))
+    return cache[e]
 
 
 def _combine(coeffs, rows, k: int) -> list[int]:
@@ -649,25 +686,6 @@ def _solve_triangular(basis_rows, targets):
                 v[c:] = [a - q * b for a, b in zip(v[c:], r[c:])]
         out.append(coeffs)
     return out
-
-
-def _materialize_image(action, n):
-    """B^n as array rows when its closure fits the budget."""
-    try:
-        return _image_rows(action, n)
-    except BudgetError:
-        return None
-
-
-def _lex_least_row(rows: np.ndarray) -> tuple[int, ...]:
-    """The lexicographically least row, as a tuple of ints."""
-    idx = np.arange(len(rows))
-    for col in range(rows.shape[1]):
-        vals = rows[idx, col]
-        idx = idx[vals == vals.min()]
-        if len(idx) == 1:
-            break
-    return tuple(rows[idx[0]].tolist())
 
 
 def default_engine(action: PartialAction, n: int) -> str:

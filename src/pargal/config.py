@@ -130,6 +130,9 @@ def _generator_slots(parts, group: FiniteGroup, cfg: InstanceConfig):
     g = 0..n-1.  Refuses what cannot generate an action of the cyclic
     group Cn, the product itself never built."""
     perm = cfg.permutation
+    if cfg.frobenius is not None and len(cfg.frobenius) != len(perm):
+        raise ConfigError(f"frobenius needs {len(perm)} values, one per "
+                          f"permutation slot, not {len(cfg.frobenius)}")
     frob = cfg.frobenius or tuple(0 for _ in perm)
     if len(perm) == 1:
         if perm != (0,):

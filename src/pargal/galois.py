@@ -24,7 +24,7 @@ import numpy as np
 from . import intmat
 from .errors import DefectError, PreconditionError
 from .finring import FiniteRing, _additive_span, primitive_idempotents
-from .groups import FinAbPresentation, abelian_structure, kernel_image_orders
+from .groups import FinAbPresentation, kernel_image_orders, subgroup_structure
 from .partial_action import PartialAction, _additive_generators, invariant_subring
 
 
@@ -93,8 +93,7 @@ def verify_certificate(action: PartialAction, cert) -> CertificateCheck:
 
 @lru_cache(maxsize=64)
 def _additive_presentation(ring: FiniteRing) -> FinAbPresentation:
-    return abelian_structure(
-        list(range(ring.order)), lambda a, b: int(ring.add[a, b]), ring.zero)
+    return subgroup_structure(range(ring.order), ring.add, ring.zero)
 
 
 def _add_multiple(ring: FiniteRing, c: int, a: int) -> int:
@@ -325,8 +324,7 @@ def _ideal_presentation(ring: FiniteRing, e: int) -> FinAbPresentation:
     """Additive presentation of the ideal Re."""
     if e == ring.one:
         return _additive_presentation(ring)
-    return abelian_structure(list(ring.corner_members(e)),
-                             lambda a, b: int(ring.add[a, b]), ring.zero)
+    return subgroup_structure(ring.corner_members(e), ring.add, ring.zero)
 
 
 def _rho_kernel_order(action: PartialAction) -> int:

@@ -135,18 +135,22 @@ class FinAbPresentation:
     """Invariant-factor presentation of a finite abelian group.
 
     generators[j] has order invariant_factors[j]; every element is
-    prod generators[j]^coords[j] with coords taken mod the factors.
+    prod generators[j]^coords[j] with coords taken mod the factors;
+    coords[i] holds the coordinates of elements[i].
     """
-    elements: tuple[int, ...]
-    generators: tuple[int, ...]
+    elements: tuple
+    generators: tuple
     invariant_factors: tuple[int, ...]
-    identity: int
-    dlog: dict
-    _op: object
+    identity: object
+    coords: np.ndarray
 
     @property
     def order(self) -> int:
         return prod(self.invariant_factors) if self.invariant_factors else 1
+
+    @cached_property
+    def dlog(self) -> dict:
+        return dict(zip(self.elements, map(tuple, self.coords.tolist())))
 
     def coords_of(self, x) -> tuple[int, ...]:
         return self.dlog[x]
@@ -155,114 +159,118 @@ class FinAbPresentation:
     def coord_table(self) -> np.ndarray:
         """coords_of as a dense table indexed by element: row x holds the
         coordinates of x, and -1 where x is not an element."""
-        k = len(self.invariant_factors)
-        out = np.full((max(self.elements) + 1, k), -1, dtype=np.int64)
-        xs = np.fromiter(self.dlog, dtype=np.int64, count=len(self.dlog))
-        out[xs] = np.array(list(self.dlog.values()),
-                           dtype=np.int64).reshape(len(xs), k)
+        out = np.full((max(self.elements) + 1, len(self.invariant_factors)),
+                      -1, dtype=np.int64)
+        out[list(self.elements)] = self.coords
         return out
 
-    def from_coords(self, coords):
-        x = self.identity
-        for g, d, c in zip(self.generators, self.invariant_factors, coords):
-            for _ in range(c % d):
-                x = self._op(x, g)
-        return x
+    @cached_property
+    def by_coords(self) -> np.ndarray:
+        """The index in elements of the element at each coordinate vector,
+        numbered mixed-radix with the first coordinate most significant."""
+        flat = np.zeros(len(self.elements), dtype=np.int64)
+        for c, d in zip(self.coords.T, self.invariant_factors):
+            flat = flat * d + c
+        out = np.empty_like(flat)
+        out[flat] = np.arange(len(flat))
+        return out
 
 
 def abelian_structure(elements, op, identity) -> FinAbPresentation:
     """Invariant factors d1 | d2 | ... of a finite abelian group given by
-    a multiplication oracle, with explicit generators and discrete logs."""
+    a multiplication oracle, with explicit generators and discrete logs.
+    The oracle is called once per pair, to build the group's table."""
     elems = sorted(elements)
+    index = {x: i for i, x in enumerate(elems)}
+    outside = {}   # products outside elems, each with its own negative code
+    table = np.array(
+        [[index[y] if y in index else outside.setdefault(y, -1 - len(outside))
+          for y in (op(a, b) for b in elems)] for a in elems], dtype=np.int64)
+    return _present(elems, table, identity)
+
+
+def subgroup_structure(members, cayley, identity) -> FinAbPresentation:
+    """abelian_structure of the members under the operation whose table on
+    all elements is cayley (R.mul for corner units, R.add for additive
+    groups): one gather builds the group's table."""
+    elems = sorted(int(x) for x in members)
+    index = np.full(len(cayley), -1, dtype=np.int64)
+    index[elems] = np.arange(len(elems))
+    return _present(elems, index[cayley[np.ix_(elems, elems)]], identity)
+
+
+def _present(elems, T, identity) -> FinAbPresentation:
+    """The presentation of the group on elems whose table T holds the index
+    of each product in elems (negative outside them).
+
+    Greedy generators g_1, g_2, ... (each the least element outside the
+    span of those before it) write every element once as s·g_t^a, with s
+    in the span of g_1..g_(t-1) and 0 <= a < o_t, o_t the least power of
+    g_t back in that span.  The k power relations o_t·e_t - c(g_t^o_t)
+    then span every relation among the g_t (the quotient they cut has
+    order prod o_t = n), so one Smith form of their Hermite basis gives
+    the invariant factors, the new generators and every discrete log."""
     n = len(elems)
     if identity not in elems:
         raise PreconditionError("identity not among the elements")
-    for a in elems:
-        for b in elems:
-            if op(a, b) != op(b, a):
-                raise PreconditionError(f"oracle not commutative at ({a},{b})")
-
-    # greedy generating set
-    gens = []
-    span = {identity}
-    for x in elems:
-        if x in span:
-            continue
-        gens.append(x)
-        powers = [identity]
-        cur = x
-        while cur != identity:
-            powers.append(cur)
-            cur = op(cur, x)
-        span = {op(s, p) for s in span for p in powers}
-    if set(elems) != span:
+    bad = T != T.T
+    if bad.any():
+        a, b = divmod(int(bad.argmax()), n)
+        raise PreconditionError(f"oracle not commutative at ({elems[a]},{elems[b]})")
+    if (T < 0).any():
         raise PreconditionError("oracle elements not closed under op")
+    e = elems.index(identity)
+    C = np.zeros((n, n.bit_length()), dtype=np.int64)   # at most log2 n gens
+    gens, rels = [], []
+    span = np.array([e])
+    inside = np.zeros(n, dtype=bool)
+    inside[e] = True
+    while not inside.all():
+        x, t = int(inside.argmin()), len(gens)
+        pw, cur = [e], x
+        while not inside[cur]:
+            if len(pw) > n:
+                raise PreconditionError("oracle is not a group")
+            pw.append(cur)
+            cur = int(T[cur, x])
+        cosets = T[np.ix_(span, pw)]   # span·x^a, one column per a < o_t
+        C[cosets] = C[span][:, None]
+        C[cosets, t] = np.arange(len(pw))
+        rel = -C[cur]
+        rel[t] += len(pw)
+        gens.append(x)
+        rels.append(rel)
+        span = cosets.ravel()
+        inside[span] = True
     k = len(gens)
-
-    # raw coordinates by breadth-first search over generator multiplication
-    coord = {identity: [0] * k}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            cx = coord[x]
-            for i, g in enumerate(gens):
-                y = op(x, g)
-                if y not in coord:
-                    c = list(cx)
-                    c[i] += 1
-                    coord[y] = c
-                    nxt.append(y)
-        frontier = nxt
-    assert len(coord) == n
-
-    # relation lattice: c(x) + e_i - c(x*g_i) for all x, i
-    rels = []
-    for x in elems:
-        cx = coord[x]
-        for i, g in enumerate(gens):
-            rel = [a - b for a, b in zip(cx, coord[op(x, g)])]
-            rel[i] += 1
-            rels.append(rel)
-    # g^n = 1 for every g, so the relation lattice contains n·Z^k
-    M = intmat.RowLattice([n] * k, rels).basis()
-    diag, V, Vinv = intmat.smith_normal_form(M)
+    C = C[:, :k]
+    if not k:
+        return FinAbPresentation(tuple(elems), (), (), identity, C)
+    rels = [r[:k].tolist() for r in rels]
+    diag, V, Vinv = intmat.smith_normal_form(intmat.RowLattice([n] * k, rels).basis())
     # Z^k / rows(M) = sum Z/d_i in the coordinates c -> c V
     keep = [i for i, d in enumerate(diag) if d > 1]
     factors = tuple(diag[i] for i in keep)
-
-    def elem_from_raw(raw):
-        x = identity
-        for i, e in enumerate(raw):
-            g = gens[i] if e >= 0 else _group_inv(op, identity, gens[i])
-            for _ in range(abs(e)):
-                x = op(x, g)
-        return x
-
-    new_gens = tuple(elem_from_raw(Vinv[j]) for j in keep)
-    dlog = {}
-    for x in elems:
-        cV = intmat.mat_vec(intmat.transpose(V), coord[x])
-        dlog[x] = tuple(cV[i] % diag[i] for i in keep)
-
-    pres = FinAbPresentation(elements=tuple(elems), generators=new_gens,
-                             invariant_factors=factors, identity=identity,
-                             dlog=dlog, _op=op)
-    # reconstruction check: coords -> element -> coords round-trips
-    for j, g in enumerate(new_gens):
-        want = tuple(1 if i == j else 0 for i in range(len(keep)))
-        if dlog[g] != want:
-            raise AssertionError("generator coordinates fail to round-trip")
-    assert pres.order == n
-    return pres
-
-
-def _group_inv(op, identity, a):
-    x, prev = a, a
-    while x != identity:
-        prev = x
-        x = op(x, a)
-    return prev
+    box = np.zeros(n, dtype=np.int64)   # element index by its coordinates
+    orders = [r[t] for t, r in enumerate(rels)]
+    strides = [prod(orders[t + 1:]) for t in range(k)]
+    box[C @ np.array(strides, dtype=np.int64)] = np.arange(n)
+    new_gens = []
+    for j in keep:   # prod g_t^Vinv[j][t], reduced by the power relations
+        c = list(Vinv[j])
+        for t in reversed(range(k)):
+            q = c[t] // orders[t]
+            c = [a - q * r for a, r in zip(c, rels[t])]
+        new_gens.append(int(box[sum(a * w for a, w in zip(c, strides))]))
+    Vk = np.array([[V[r][j] % diag[j] for j in keep] for r in range(k)],
+                  dtype=np.int64).reshape(k, len(keep))
+    coords = C @ Vk % np.array(factors, dtype=np.int64)
+    # reconstruction check: each new generator has unit coordinates
+    if not np.array_equal(coords[new_gens], np.eye(len(keep), dtype=np.int64)):
+        raise AssertionError("generator coordinates fail to round-trip")
+    assert prod(factors) == n
+    return FinAbPresentation(tuple(elems), tuple(elems[x] for x in new_gens),
+                             factors, identity, coords)
 
 
 # ------------------------------------------------- homomorphisms

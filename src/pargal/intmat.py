@@ -2,17 +2,20 @@
 
 Matrices are lists of rows of python ints, so every computation is
 arbitrary precision.  Every lattice carries its moduli: a `RowLattice`
-is span(rows) + (+) m_i Z, kept in modular Hermite form with entries
-reduced mod the moduli, so no entry grows.  Kernels of maps between
-finite abelian groups never leave the moduli either, so
-`kernel_lattice` works on numpy rows reduced mod the domain orders; it
-also decides whether a target is in a span mod moduli (Hermite row 0 of
-the kernel of [-target; rows], as in the Galois solve).  The
-pivot-by-smallest Smith form remains for quotient generators, on
-unreduced ints, and tracks only its column transform.
+is span(rows) + (+) m_i Z, whose modular Hermite form, with entries
+reduced mod the moduli so that no entry grows, is built only when a
+basis, a residue or a membership test asks for it.  Kernels of maps
+between finite abelian groups never leave the moduli either, so
+`kernel_lattice` works on numpy rows reduced mod the domain orders and
+reads the kernel's covolume off its own elimination; it also decides
+whether a target is in a span mod moduli (Hermite row 0 of the kernel
+of [-target; rows], as in the Galois solve).  The pivot-by-smallest
+Smith form remains for quotient generators, on unreduced ints, and
+tracks only its column transform.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd, prod
 
 import numpy as np
@@ -20,14 +23,6 @@ import numpy as np
 
 def eye(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_vec(rows: list[list[int]], v: list[int]) -> list[int]:
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in rows]
-
-
-def transpose(rows: list[list[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*rows)] if rows else []
 
 
 def smith_normal_form(mat):
@@ -121,30 +116,47 @@ def as_rows(A, dom_moduli, cod_moduli) -> np.ndarray:
     return A.astype(np.int64, copy=False)
 
 
+def images(X, A, dom_moduli, cod_moduli) -> np.ndarray:
+    """X·A mod the codomain moduli: the images of the domain vectors X
+    under the map whose generator images are the rows of A, in python
+    ints once (k + 2)·top² reaches 2**62."""
+    top = max([*dom_moduli, *cod_moduli, 1])
+    A = as_rows(A, dom_moduli, cod_moduli)
+    if (len(dom_moduli) + 2) * top * top >= 2 ** 62:
+        A = A.astype(object)
+    d, e = (np.array(m, dtype=A.dtype) for m in (dom_moduli, cod_moduli))
+    return np.asarray(X).astype(A.dtype) % d @ (A % e) % e
+
+
 def kernel_lattice(A, dom_moduli, cod_moduli) -> RowLattice:
     """{x in Z^k : xA in (+) e_j Z} + (+) d_i Z as a RowLattice.
 
     Row i of A is the image of the i-th generator of Z/d_1 x ... x Z/d_k
     in Z/e_1 x ...; each image must respect its order (d_i A[i][j] = 0
     mod e_j), so the answer is the preimage of 0 and contains every
-    d_i e_i.  The lattice is held as k generating rows modulo (+) d_i Z,
-    entries reduced mod d, and cut down one codomain column at a time:
-    extended-gcd row operations move the column's values mod e onto one
-    pivot row, which is then multiplied by e / gcd(value, e).
+    d_i e_i.  The lattice is held as k generating rows x modulo (+) d_i Z,
+    each beside its image xA mod e, starting from [A | I], and cut down
+    one codomain column at a time, skipping columns its images already
+    clear: extended-gcd row operations move the column's values mod e
+    onto one pivot row, which is then multiplied by e / gcd(value, e).
+    That factor is the index the column cuts, so the covolume is their
+    product and no Hermite basis is needed to know it.
     """
-    k = len(dom_moduli)
+    k, kc = len(dom_moduli), len(cod_moduli)
     top = max([*dom_moduli, *cod_moduli, 1])
-    # every intermediate value stays below (k + 2)·top²
-    dtype = np.int64 if (k + 2) * top * top < 2 ** 62 else object
+    # every intermediate value stays below 2·top²
+    dtype = np.int64 if top < 2 ** 30 else object
     A = as_rows(A, dom_moduli, cod_moduli)
-    d = np.array(dom_moduli, dtype=dtype)
-    B = np.eye(k, dtype=dtype)
-    for j, e in enumerate(cod_moduli):
-        v = B @ (A[:, j] % e).astype(dtype) % e
+    A = (A % np.array(cod_moduli, dtype=A.dtype)).astype(dtype)
+    M = np.concatenate([A, np.eye(k, dtype=dtype)], axis=1)
+    mods = np.array([*cod_moduli, *dom_moduli], dtype=dtype)
+    covolume, j = 1, 0
+    while len(live := np.flatnonzero(M[:, j:kc].any(axis=0))):
+        j += int(live[0])
+        e = cod_moduli[j]
         while True:
+            v = M[:, j]
             nz = np.flatnonzero(v)
-            if not len(nz):
-                break
             p = int(nz[np.argmin(np.gcd(v[nz], e))])
             g = gcd(int(v[p]), e)
             off = nz[v[nz] % g != 0]
@@ -153,17 +165,18 @@ def kernel_lattice(A, dom_moduli, cod_moduli) -> RowLattice:
                 r = int(off[0])
                 vp, vr = int(v[p]), int(v[r])
                 h, s, t = _xgcd(vp, vr)
-                B[p], B[r] = ((s * B[p] + t * B[r]) % d,
-                              (vr // h * B[p] - vp // h * B[r]) % d)
-                v[p], v[r] = h, 0
+                M[p], M[r] = ((s * M[p] + t * M[r]) % mods,
+                              (vr // h * M[p] - vp // h * M[r]) % mods)
                 continue
             # every value is a multiple of the pivot's: clear them at once
             c = (v[nz] // g) * pow(int(v[p]) // g, -1, e // g) % (e // g)
             c[nz == p] = 0
-            B[nz] = (B[nz] - c[:, None] * B[p]) % d
-            B[p] = B[p] * (e // g) % d
+            M[nz] = (M[nz] - c[:, None] * M[p]) % mods
+            M[p] = M[p] * (e // g) % mods
+            covolume *= e // g
             break
-    return RowLattice(dom_moduli, B.tolist())
+        j += 1
+    return RowLattice(dom_moduli, M[:, kc:], covolume)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -177,9 +190,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class RowLattice:
-    """The lattice span(rows) + (+) m_i Z inside Z^n, n = len(moduli), held
-    as its unique Hermite basis: one row per column, pivots positive, every
-    entry right of a pivot in [0, that column's pivot).
+    """The lattice span(rows) + (+) m_i Z inside Z^n, n = len(moduli).
+    Its unique Hermite basis (one row per column, pivots positive, every
+    entry right of a pivot in [0, that column's pivot)) is built on the
+    first call of basis(), residue() or contains(); a covolume known in
+    advance, as kernel_lattice's is, is returned without it.
 
     The lattice always contains its moduli, so it has full rank and
     covolume prod(pivots).  The rows m_i·e_i seed the pivots and every
@@ -189,16 +204,30 @@ class RowLattice:
     Cohen, GTM 138, 2.4.2).
     """
 
-    def __init__(self, moduli, rows=()):
+    def __init__(self, moduli, rows=(), covolume=None):
         self.moduli = [int(m) for m in moduli]   # each positive
-        n = len(self.moduli)
-        self.pivot_rows = [[m if j == i else 0 for j in range(n)]
-                           for i, m in enumerate(self.moduli)]
-        for r in rows:   # the Hermite basis is unique: normalize once
-            self._insert(r)
-        self._normalize()
+        self.rows = rows   # a sequence of rows, read when the basis is built
+        self._covolume = covolume
 
-    def _insert(self, row):
+    @cached_property
+    def pivot_rows(self) -> list[list[int]]:
+        n = len(self.moduli)
+        pivots = [[m if j == i else 0 for j in range(n)]
+                  for i, m in enumerate(self.moduli)]
+        for r in self.rows:   # the Hermite basis is unique: normalize once
+            self._insert(pivots, r)
+        # reduce entries right of each pivot into [0, pivot), bottom row
+        # first, so each row is reduced by rows already in final form
+        for c in reversed(range(n)):
+            b = pivots[c]
+            for c2 in range(c + 1, n):
+                q = b[c2] // pivots[c2][c2]
+                if q:
+                    b[c2:] = [x - q * y for x, y in
+                              zip(b[c2:], pivots[c2][c2:])]
+        return pivots
+
+    def _insert(self, pivots, row):
         """Echelon insertion mod the moduli, without normalizing."""
         mods = self.moduli
         v = [int(x) % m for x, m in zip(row, mods)]
@@ -207,7 +236,7 @@ class RowLattice:
             c = next((i for i in range(c, len(v)) if v[i]), None)
             if c is None:
                 return
-            b = self.pivot_rows[c]
+            b = pivots[c]
             x, y = v[c], b[c]
             # unimodular 2x2 step: the pivot becomes gcd(x, y) and the
             # other combination clears column c (when y | x the pivot row
@@ -219,18 +248,6 @@ class RowLattice:
                      for a, z, m in tail]
             b[c:] = [g] + [p for p, _ in pairs]
             v[c:] = [0] + [r for _, r in pairs]
-
-    def _normalize(self):
-        # reduce entries right of each pivot into [0, pivot), bottom row
-        # first, so each row is reduced by rows already in final form
-        rows = self.pivot_rows
-        for c in reversed(range(len(rows))):
-            b = rows[c]
-            for c2 in range(c + 1, len(rows)):
-                q = b[c2] // rows[c2][c2]
-                if q:
-                    b[c2:] = [x - q * y for x, y in
-                              zip(b[c2:], rows[c2][c2:])]
 
     def residue(self, row) -> tuple[int, ...]:
         """Canonical representative of row + lattice (floor reduction)."""
@@ -246,7 +263,9 @@ class RowLattice:
 
     def covolume(self) -> int:
         """Index [Z^n : lattice], the product of the pivots."""
-        return prod(b[c] for c, b in enumerate(self.pivot_rows))
+        if self._covolume is None:
+            self._covolume = prod(b[c] for c, b in enumerate(self.pivot_rows))
+        return self._covolume
 
     def basis(self) -> list[list[int]]:
         return list(self.pivot_rows)

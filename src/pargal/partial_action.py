@@ -22,11 +22,11 @@ from .groups import FiniteGroup
 class Budgets:
     """The size limits of the computations on an action.  Past one, a
     computation either raises a BudgetError that names it or takes the
-    other route its docstring gives (a proof on generators, an undecided
-    or unminimized answer)."""
+    other route its docstring gives (a proof on generators or an
+    undecided answer)."""
     cochain_scan: int = 10_000_000         # cochains an exhaustive scan visits
     kernel_dfs_nodes: int = 10_000_000     # nodes of the cocycle search
-    materialize: int = 1_000_000           # members of B^n closed under product
+    materialize: int = 1_000_000           # members of B^n the enumeration engine closes
     cochain_size: int = 10_000_000         # values of one cochain, |G|^n
     structure_positions: int = 200_000     # positions of delta^n, |G|^(n+1)
     galois_search: int = 1_000_000         # pair lists the Galois search tries

@@ -1,12 +1,13 @@
 """Command line driver: report shape, exit codes, config parsing,
 determinism."""
+import dataclasses
 import json
 import sys
 
 import pytest
 
 from pargal import cli, fixture
-from pargal.cohomology import identity_cochain
+from pargal.cohomology import cohomology_group, identity_cochain
 from pargal.config import (ConfigError, build_action, build_global,
                            parse_config, resolve_idempotent)
 
@@ -267,6 +268,64 @@ def test_config_frobenius_generator(tmp_path, capsys):
     code, out, _ = run(capsys, ["delta-theta", "--config", str(cfg)])
     assert code == 0
     assert "Delta(Theta) = M_2(GF(2)), order 16" in out
+
+
+F4F4_SWAP_INI = """
+[ring]
+descriptor = GF(4;x^2+x+1)*GF(4;x^2+x+1)
+
+[group]
+descriptor = C2
+
+[action]
+kind = generator
+permutation = 1,0
+"""
+
+
+@pytest.mark.parametrize("frob", ["1", "1,1,0"])
+def test_frobenius_length_mismatch_is_config_error(tmp_path, capsys, frob):
+    # one Frobenius power per permutation slot, or a config error naming
+    # the count; neither a short nor a long list reaches the slot maps
+    cfg = tmp_path / "swap.ini"
+    cfg.write_text(F4F4_SWAP_INI + f"frobenius = {frob}\n")
+    code, out, err = run(capsys, ["validate", "--config", str(cfg)])
+    count = len(frob.split(","))
+    assert (code, out) == (2, "")
+    assert err == (f"error: frobenius needs 2 values, one per permutation "
+                   f"slot, not {count}\n")
+
+
+# trivial K4 on GF(4): H^3 has |Z| = |B| = 3^12, too many members to list
+# for a lex-least representative in a test; tests/configs/k4f4.ini is the
+# same instance, run by CI under a 5 s timeout
+K4F4_INI = """
+[ring]
+descriptor = GF(4;x^2+x+1)
+
+[group]
+descriptor = C2*C2
+
+[action]
+kind = trivial
+"""
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget", "100000"]])
+def test_k4f4_h3_lex_least_without_closure(tmp_path, capsys, budget):
+    cfg = tmp_path / "k4f4.ini"
+    cfg.write_text(K4F4_INI)
+    _clear_caches()
+    code, out, _ = run(capsys, ["cohomology", "--config", str(cfg), "--n", "3",
+                                *budget])
+    assert code == 0
+    assert ("H^3: |Z|=531441 |B|=531441 |H|=1 invariants=[] [structure]"
+            in out.splitlines())
+    act = build_action(parse_config(K4F4_INI))
+    if budget:
+        act = dataclasses.replace(act, budgets=act.budgets.capped(100000))
+    grp = cohomology_group(act, 3)
+    assert grp.lex_least and grp.h_order == 1
 
 
 def test_f8f9c6_not_galois(tmp_path, capsys):

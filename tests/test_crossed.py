@@ -225,6 +225,24 @@ def test_delta_theta_e1():
     assert alg.component_members[0] == (0, 1, 2, 3)  # component 1 is R
 
 
+@pytest.mark.parametrize("name", ["E0", "E1", "E2", "E3", "f4c4", "f8c3",
+                                  "f2c6g"])
+@pytest.mark.parametrize("capped", [False, True])
+def test_delta_theta_associativity_from_pentagon(name, capped, stress_action):
+    # delta_theta takes associativity from the factor set's pentagon; the
+    # table check it no longer runs stays as the oracle
+    act = fixtures.fixture(name) if name[0] == "E" else stress_action(name)
+    if capped:
+        act = _capped_triples(act)
+    alg = crossed.delta_theta(act)
+    oracle = crossed._check_associativity(alg.basis, alg.table)
+    assert alg.assoc.ok and oracle.ok and not alg.assoc.sampled
+    exhaustive = crossed.theta_factor_set(act).exhaustive
+    assert alg.assoc.on_generators == (not exhaustive)
+    if exhaustive == (not oracle.on_generators):
+        assert alg.assoc == oracle
+
+
 def test_delta_theta_trivial_group_is_ring():
     act = trivial_partial_action(make_ring("Z6"), cyclic_group(1))
     alg = crossed.delta_theta(act)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pargal import finring, groups
+from pargal import finring, groups, intmat
 from pargal.errors import PreconditionError
 
 
@@ -36,10 +36,15 @@ def test_explicit_table_accepted():
     assert C2.order == 2 and C2.identity == 0
 
 
-def _units_presentation(tag):
+def _units(tag):
+    """The unit group of a ring: its presentation and its product."""
     R = finring.make_ring(tag)
     U = finring.units(R)
-    return groups.abelian_structure(U.elements, U.op, U.e)
+    return groups.abelian_structure(U.elements, U.op, U.e), U.op
+
+
+def _units_presentation(tag):
+    return _units(tag)[0]
 
 
 def test_abelian_structure_u_z6():
@@ -87,12 +92,18 @@ def test_noncommutative_oracle_rejected():
 @given(st.sampled_from(["Z5", "Z7", "Z8", "Z12", "Z9", "Z21",
                         "GF(9;x^2+1)", "Z4*Z3"]))
 def test_dlog_round_trip(tag):
-    pres = _units_presentation(tag)
-    import itertools
+    # x is built from the generators with the group law; its coordinates
+    # come back from coords_of, and by_coords (mixed radix) finds it
+    pres, op = _units(tag)
     seen = set()
-    for coords in itertools.product(*[range(d) for d in pres.invariant_factors]):
-        x = pres.from_coords(coords)
+    for flat, coords in enumerate(itertools.product(
+            *[range(d) for d in pres.invariant_factors])):
+        x = pres.identity
+        for g, c in zip(pres.generators, coords):
+            for _ in range(c):
+                x = op(x, g)
         assert pres.coords_of(x) == coords
+        assert pres.elements[pres.by_coords[flat]] == x
         seen.add(x)
     assert seen == set(pres.elements)
 
@@ -117,9 +128,9 @@ def test_hom_zero_on_33():
 
 
 def test_hom_squaring_on_c4():
-    dom = _units_presentation("Z5")  # [4]
+    dom, op = _units("Z5")  # [4]
     g = dom.generators[0]
-    assert _hom_orders(dom, dom, [dom._op(g, g)]) == (2, 2)
+    assert _hom_orders(dom, dom, [op(g, g)]) == (2, 2)
 
 
 def test_hom_rejects_order_violation():
@@ -132,15 +143,15 @@ def test_hom_rejects_order_violation():
 
 @given(st.sampled_from(["Z8", "Z12", "Z15", "Z16", "Z24"]))
 def test_kernel_times_image_is_domain_order(tag):
-    dom = _units_presentation(tag)
+    dom, op = _units(tag)
     # squaring is always a homomorphism on an abelian group
-    sq = [dom._op(g, g) for g in dom.generators]
+    sq = [op(g, g) for g in dom.generators]
     k, im = _hom_orders(dom, dom, sq)
     assert k * im == dom.order
     # against brute force
     elems = dom.elements
-    img = {dom._op(x, x) for x in elems}
-    ker = [x for x in elems if dom._op(x, x) == dom.identity]
+    img = {op(x, x) for x in elems}
+    ker = [x for x in elems if op(x, x) == dom.identity]
     assert (k, im) == (len(ker), len(img))
 
 
@@ -174,6 +185,16 @@ def test_kernel_image_orders_match_enumeration(hom):
     assert math.prod(dom) // ker_lat.covolume() == k
 
 
+@given(_homs())
+def test_kernel_covolume_from_elimination_matches_hermite(hom):
+    # kernel_lattice reads its covolume off the elimination; the Hermite
+    # basis, built on demand, has the product of its pivots
+    A, dom, cod = hom
+    lat = intmat.kernel_lattice(A, dom, cod)
+    pivots = math.prod(row[c] for c, row in enumerate(lat.basis()))
+    assert lat.covolume() == pivots
+
+
 def test_kernel_image_orders_large_entries_fast():
     # the former Smith-normal-form kernel grew 19,000-bit entries here
     A = [[35, -20, 8, -18, -24], [-3, 24, 16, 9, 24],
@@ -183,6 +204,14 @@ def test_kernel_image_orders_large_entries_fast():
     k, im, _ = groups.kernel_image_orders(A, dom, cod)
     assert time.perf_counter() - start < 1.0
     assert (k, im) == (1, 360) == _brute_kernel_image(A, dom, cod)
+
+
+def test_kernel_image_orders_reduce_before_narrowing():
+    # entries far past small moduli: reduced before the elimination,
+    # whose int64 products they would overflow
+    A = [[2 ** 40 + 3, 7 * 2 ** 35], [-(2 ** 33) - 1, 2 ** 36 + 14]]
+    want = _brute_kernel_image([[a % 7 for a in r] for r in A], [7, 7], [7, 7])
+    assert groups.kernel_image_orders(A, [7, 7], [7, 7])[:2] == want
 
 
 def test_kernel_image_orders_huge_moduli():

@@ -126,7 +126,7 @@ def test_kernel_lattice_annihilates(rows, moduli):
         assert lat.contains([d if j == i else 0 for j in range(len(rows))])
     for x in lat.basis():
         assert len(x) == len(rows)
-        image = intmat.mat_vec(intmat.transpose(rows), x)
+        image = [sum(a * b for a, b in zip(col, x)) for col in zip(*rows)]
         assert all(y % e == 0 for y, e in zip(image, cod))
 
 
@@ -138,10 +138,46 @@ def _snf_kernel_lattice(A, dom_moduli, cod_moduli):
         return _plain_with_moduli(dom_moduli, intmat.eye(kd))
     stacked = [list(r) for r in A] + [
         [e if j == i else 0 for j in range(kc)] for i, e in enumerate(cod_moduli)]
-    diag, V, _ = intmat.smith_normal_form(intmat.transpose(stacked))
+    diag, V, _ = intmat.smith_normal_form([list(c) for c in zip(*stacked)])
     rank = sum(1 for x in diag if x)
     return _plain_with_moduli(dom_moduli, (
         [V[r][j] for r in range(kd)] for j in range(rank, kd + kc)))
+
+
+@st.composite
+def _mid_moduli_homs(draw):
+    """Moduli in [2**15, 2**30), the elimination's int64 range: every
+    codomain modulus divides the domain modulus m, so any matrix is a
+    homomorphism; entries run past int32 before reduction."""
+    m = draw(st.integers(2 ** 15 // 36 + 1, (2 ** 30 - 1) // 36)) * 36
+    k = draw(st.integers(1, 3))
+    cod = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 9, 12, 36]),
+                        min_size=1, max_size=3))
+    cod = [m // t for t in cod]
+    A = draw(st.lists(st.lists(st.integers(-2 ** 40, 2 ** 40),
+                               min_size=len(cod), max_size=len(cod)),
+                      min_size=k, max_size=k))
+    return A, [m] * k, cod
+
+
+@given(_mid_moduli_homs())
+def test_kernel_lattice_on_mid_moduli(hom):
+    # the index of the kernel is the order of the image, prod(e) over the
+    # covolume of span(A) + (+) e_j Z, read off sympy's Smith form; a
+    # sublattice of the kernel with that covolume is the kernel
+    A, dom, cod = hom
+    lat = intmat.kernel_lattice(A, dom, cod)
+    basis = lat.basis()
+    pivots = math.prod(row[c] for c, row in enumerate(basis))
+    stacked = [[a % e for a, e in zip(r, cod)] for r in A] + [
+        [e if j == i else 0 for j in range(len(cod))]
+        for i, e in enumerate(cod)]
+    sm = sympy_snf(_as_sympy(stacked))
+    image = math.prod(cod) // abs(math.prod(sm[i, i] for i in range(len(cod))))
+    assert lat.covolume() == pivots == image
+    for x in basis:
+        assert all(sum(c * r[j] for c, r in zip(x, A)) % e == 0
+                   for j, e in enumerate(cod))
 
 
 @pytest.mark.parametrize("name", ["E2", "E3", "f4c4", "f8c3"])
