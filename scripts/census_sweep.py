@@ -8,7 +8,9 @@ every corner it also computes Z^1(G, alpha*, PicS) and Pic(R), and it
 exits 1 unless both are singletons, as the PicS collapse asserts.  It
 also runs the CLI's orbit census on each action, which computes H^1 and
 H^2 once per sigma-orbit of corners and transports them, and exits 1
-unless its rows equal the per-corner ones computed here.
+unless its rows equal the per-corner ones computed here.  A corner whose
+cohomology a budget refuses is reported with that budget's name, and its
+action's orbit comparison is skipped and counted.
 
     python3 scripts/census_sweep.py --count 40 --seed 7 --max-order 512
 """
@@ -22,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pargal.cli import corner_census
 from pargal.cohomology import cohomology_group
+from pargal.errors import BudgetError
 from pargal.finring import idempotents
 from pargal.fixtures import random_global_instance
 from pargal.galois import GaloisCertificate, find_certificate
@@ -46,10 +49,13 @@ def main() -> int:
     corners = 0
     collapse_breaks = []
     census_breaks = []
+    refusals = []
+    skipped = 0
 
     for i in range(args.count):
         glob, _ = random_global_instance(rng, max_order=args.max_order)
         rows = []
+        refused = False
         for e in idempotents(glob.ring):
             act = restrict_global(glob, e)
             corners += 1
@@ -61,18 +67,25 @@ def main() -> int:
             else:
                 verdict = "no" if res.conclusive else "undecided"
                 galois_votes[verdict] += 1
-            h1 = cohomology_group(act, 1, engine=args.engine).h_order
-            h2 = cohomology_group(act, 2, engine=args.engine).h_order
-            h1_orders[h1] += 1
-            h2_orders[h2] += 1
+            try:
+                h1 = cohomology_group(act, 1, engine=args.engine).h_order
+                h2 = cohomology_group(act, 2, engine=args.engine).h_order
+            except BudgetError as exc:
+                refusals.append(f"{act!r}: budget '{exc.budget}'")
+                refused = True
+                h1 = h2 = None
+            else:
+                h1_orders[h1] += 1
+                h2_orders[h2] += 1
             rows.append((glob.ring.names[e], act.ring.order,
                          tuple(int(x) for x in act.one_g), verdict, h1, h2))
             z1 = len(z1_pics(star_action(act)))
             pic = len(pics_monoid(act.ring).units())
             if (z1, pic) != (1, 1):
                 collapse_breaks.append(f"{act!r}: |Z^1| = {z1}, |Pic R| = {pic}")
-        got = corner_census(glob, args.engine)
-        if got != rows:
+        if refused:
+            skipped += 1
+        elif (got := corner_census(glob, args.engine)) != rows:
             census_breaks.append(f"{glob!r}: orbit rows {got}, "
                                  f"per-corner rows {rows}")
         print(f"[{i + 1:3d}/{args.count}] {glob!r}: "
@@ -92,8 +105,12 @@ def main() -> int:
           f"{corners - len(collapse_breaks)} of {corners} corners")
     for line in collapse_breaks:
         print(f"  collapse broken: {line}")
+    print(f"  cohomology refused on {len(refusals)} corners")
+    for line in refusals:
+        print(f"  refused: {line}")
     print(f"  orbit census equals the per-corner rows on "
-          f"{args.count - len(census_breaks)} of {args.count} actions")
+          f"{args.count - skipped - len(census_breaks)} of {args.count} "
+          f"actions ({skipped} skipped for a refused corner)")
     for line in census_breaks:
         print(f"  orbit census differs: {line}")
     return 1 if collapse_breaks or census_breaks else 0

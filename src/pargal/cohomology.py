@@ -13,25 +13,35 @@ B's Hermite basis, so it never lists B^n; the enumeration engine lists
 B^n as the subgroup generated by the coboundaries of the corner-unit
 generators.  They agree wherever both run, and tests insist on it.
 
+Each cochain space C^n has one record (CochainSpace), built once per
+(action, n): every position's corner and that corner's row in the ring's
+corner-inverse table, and, when first read, the positions' unit lists,
+unit presentations and coordinate layout.  The cochain checks, inverses
+and identity cochains are gathers through it.  Tables that depend on the
+ring alone (the corner-inverse table, each corner's unit presentation)
+are kept in the ring's corner cache; the records, face plans, cocycle
+lists and B^n closures in the action's own cache, so all of them are
+freed with the object they describe.
+
 The engines and the witness search evaluate delta^n on whole blocks of
 value tables through a face plan, cached per (action, n): the flat index,
-sign and corner of each face of every (n+1)-position, the shift row g1
-and a dense corner-inverse table, so one block costs n+2 gathers.  The
-scalar coboundary stays the per-cochain path and the kernel's oracle.
+sign and inverse-table row of each face of every (n+1)-position and the
+shift row g1, so one block costs n+2 gathers.  The scalar coboundary
+stays the per-cochain path and the kernel's oracle.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 import numpy as np
 
 from . import groups, intmat
 from .errors import BudgetError, DefectError, PreconditionError
-from .finring import corner_units
+from .finring import FiniteRing, cached_on, corner_units
 from .groups import FinAbPresentation
 from .partial_action import PartialAction
 
@@ -40,31 +50,66 @@ BATCH_CELLS = 1 << 16           # output cells per _delta_batch call in scans
 
 # ---------------------------------------------------------------- cochains
 
-@lru_cache(maxsize=64)
-def _machinery(action: PartialAction):
-    """Per-action lookup tables shared by both engines."""
-    R, G = action.ring, action.group
-    inv_map = {}
-    unit_lists = {}
-    for e in R.idempotent_set:
-        cu = corner_units(R, e)
-        arr = np.full(R.order, -1, dtype=np.int64)
-        for u, v in cu.inverse.items():
-            arr[u] = v
-        inv_map[e] = arr
-        unit_lists[e] = cu.elements
-    return inv_map, unit_lists
-
-
-@lru_cache(maxsize=64)
-def _inverse_rows(action: PartialAction):
-    """(idems, inv): the idempotents ascending, and inv[i, r] the inverse
-    of r in the corner at idems[i], or -1 when r is not a unit there."""
-    inv_map, _ = _machinery(action)
-    idems = sorted(inv_map)
-    inv = np.stack([inv_map[e] for e in idems])
+@cached_on("_corner_cache")
+def _inverse_table(R: FiniteRing) -> np.ndarray:
+    """inv[i, r]: the inverse of r in the corner at R.idempotent_set[i],
+    or -1 when r is not a unit there."""
+    inv = np.full((len(R.idempotent_set), R.order), -1, dtype=np.int64)
+    for i, cu in enumerate(corner_units(R, e) for e in R.idempotent_set):
+        inv[i, list(cu.inverse)] = list(cu.inverse.values())
     inv.flags.writeable = False
-    return np.array(idems), inv
+    return inv
+
+
+@cached_on("_corner_cache")
+def _unit_presentation(R: FiniteRing, e: int) -> FinAbPresentation:
+    return groups.subgroup_structure(corner_units(R, e).elements, R.mul, e)
+
+
+@dataclass(frozen=True, eq=False)
+class CochainSpace:
+    """C^n of an action, position by position over G^n in lexicographic
+    order: each position's corner 1_{g1}·1_{g1g2}···1_{g1..gn} and its row
+    in the ring's corner-inverse table; and, built when first read, each
+    position's units, unit presentation and coordinate block."""
+    ring: FiniteRing
+    corners: np.ndarray      # read-only
+    inv_row: np.ndarray      # read-only: each corner's index in idempotent_set
+
+    @cached_property
+    def units(self) -> list[tuple[int, ...]]:
+        return [corner_units(self.ring, e).elements
+                for e in self.corners.tolist()]
+
+    @cached_property
+    def presentations(self) -> list[FinAbPresentation]:
+        return [_unit_presentation(self.ring, e)
+                for e in self.corners.tolist()]
+
+    @cached_property
+    def moduli(self) -> list[int]:
+        """Every position's invariant factors, one block per position."""
+        return [d for p in self.presentations for d in p.invariant_factors]
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each position's block starts in moduli."""
+        sizes = [len(p.invariant_factors) for p in self.presentations]
+        return np.cumsum([0] + sizes[:-1], dtype=np.int64)
+
+
+@cached_on("_cache")
+def _space(action: PartialAction, n: int) -> CochainSpace:
+    """The record of C^n, its corners built one tuple entry at a time."""
+    R, G = action.ring, action.group
+    acc = np.array([G.identity])
+    e = np.array([R.one], dtype=np.int64)
+    for _ in range(n):
+        acc = G.table[acc].ravel()
+        e = R.mul[np.repeat(e, G.order), action.one_g[acc]]
+    row = np.searchsorted(R.idempotent_set, e)
+    e.flags.writeable = row.flags.writeable = False
+    return CochainSpace(R, e, row)
 
 
 def positions(action: PartialAction, n: int) -> list[tuple[int, ...]]:
@@ -73,27 +118,8 @@ def positions(action: PartialAction, n: int) -> list[tuple[int, ...]]:
 
 def corner_idem(action: PartialAction, gs: tuple[int, ...]) -> int:
     """1_{g1}·1_{g1g2}···1_{g1..gn}; the empty tuple gives 1."""
-    R, G = action.ring, action.group
-    e = R.one
-    acc = G.identity
-    for g in gs:
-        acc = G.op(acc, g)
-        e = int(R.mul[e, action.one(acc)])
-    return e
-
-
-@lru_cache(maxsize=64)
-def _corners(action: PartialAction, n: int) -> np.ndarray:
-    """corner_idem of every position of G^n, flat and lexicographic, as a
-    read-only array built one tuple entry at a time."""
-    R, G = action.ring, action.group
-    acc = np.array([G.identity])
-    e = np.array([R.one], dtype=np.int64)
-    for _ in range(n):
-        acc = G.table[acc].ravel()
-        e = R.mul[np.repeat(e, G.order), action.one_g[acc]]
-    e.flags.writeable = False
-    return e
+    corners = _space(action, len(gs)).corners
+    return int(corners[_flat_index(action.group.order, gs)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,24 +129,32 @@ class Cochain:
     values: np.ndarray  # flat over G^n, lexicographic
 
     def __post_init__(self):
-        G = self.action.group
+        R, G = self.action.ring, self.action.group
         size = G.order ** self.n
         limit = self.action.budgets.cochain_size
         if size > limit:
             raise BudgetError("cochain-size", limit, size)
         if self.values.shape != (size,):
             raise ValueError(f"expected {size} values for arity {self.n}")
+
+        def at(flat):
+            return tuple(int(g) for g in
+                         np.unravel_index(flat, (G.order,) * self.n))
+
+        outside = (self.values < 0) | (self.values >= R.order)
+        if outside.any():
+            flat = int(outside.argmax())
+            raise PreconditionError(
+                f"value {int(self.values[flat])} at {at(flat)} is not an "
+                f"element of the ring (0..{R.order - 1})")
         # one gather: each position's value in its corner's inverse row
-        idems, inv = _inverse_rows(self.action)
-        corners = _corners(self.action, self.n)
-        bad = inv[np.searchsorted(idems, corners), self.values] < 0
+        space = _space(self.action, self.n)
+        bad = _inverse_table(R)[space.inv_row, self.values] < 0
         if bad.any():
             flat = int(bad.argmax())
-            gs = tuple(int(g) for g in np.unravel_index(flat, (G.order,) * self.n))
-            names = self.action.ring.names
             raise PreconditionError(
-                f"value {names[int(self.values[flat])]} at {gs} is not a unit "
-                f"of the corner at {names[int(corners[flat])]}")
+                f"value {R.names[int(self.values[flat])]} at {at(flat)} is not "
+                f"a unit of the corner at {R.names[int(space.corners[flat])]}")
 
     def __getitem__(self, gs) -> int:
         return int(self.values[_flat_index(self.action.group.order, gs)])
@@ -152,9 +186,7 @@ def _flat_index(nG: int, gs) -> int:
 
 
 def identity_cochain(action: PartialAction, n: int) -> Cochain:
-    vals = np.array([corner_idem(action, gs) for gs in positions(action, n)],
-                    dtype=np.int64)
-    return Cochain(action, n, vals)
+    return Cochain(action, n, _space(action, n).corners.copy())
 
 
 def cochain_from_map(action: PartialAction, n: int, mapping) -> Cochain:
@@ -175,12 +207,9 @@ def cochain_mul(f: Cochain, f2: Cochain) -> Cochain:
 
 
 def cochain_inv(f: Cochain) -> Cochain:
-    inv_map, _ = _machinery(f.action)
-    out = np.empty_like(f.values)
-    for flat, gs in enumerate(positions(f.action, f.n)):
-        e = corner_idem(f.action, gs)
-        out[flat] = inv_map[e][int(f.values[flat])]
-    return Cochain(f.action, f.n, out)
+    inv = _inverse_table(f.action.ring)
+    return Cochain(f.action, f.n,
+                   inv[_space(f.action, f.n).inv_row, f.values])
 
 
 # ---------------------------------------------------------------- delta
@@ -196,19 +225,20 @@ def _faces(action: PartialAction, n: int, gs: tuple[int, ...]):
     return out
 
 
-def _delta_value(action: PartialAction, n: int, gs, lookup) -> int:
-    """Evaluate (delta^n f)(gs) where lookup maps an n-tuple to f's value.
+def _delta_value(action: PartialAction, n: int, gs, values) -> int:
+    """Evaluate (delta^n f)(gs) where values is f's flat value table.
 
     Inverses are corner inverses; the mixed-corner product is taken in R.
     """
     R = action.ring
-    inv_map, _ = _machinery(action)
+    inv = _inverse_table(R)
+    inv_row = _space(action, n).inv_row
     acc = None
     for face, sign, shifted in _faces(action, n, gs):
-        v = lookup(face)
+        flat = _flat_index(action.group.order, face)
+        v = int(values[flat])
         if sign < 0:
-            e = corner_idem(action, face)
-            v = int(inv_map[e][v])
+            v = int(inv[inv_row[flat], v])
             if v < 0:
                 raise PreconditionError(
                     f"no corner inverse at {face}: input is not a cochain")
@@ -223,23 +253,18 @@ def coboundary(action: PartialAction, f: Cochain) -> Cochain:
     value is asserted by the Cochain constructor."""
     if f.n > 3:
         raise PreconditionError("coboundary implemented for arity <= 3")
-    nG = action.group.order
-
-    def lookup(face):
-        return int(f.values[_flat_index(nG, face)])
-
-    vals = np.array([_delta_value(action, f.n, gs, lookup)
+    vals = np.array([_delta_value(action, f.n, gs, f.values)
                      for gs in positions(action, f.n + 1)], dtype=np.int64)
     return Cochain(action, f.n + 1, vals)
 
 
-@lru_cache(maxsize=64)
+@cached_on("_cache")
 def _face_plan(action: PartialAction, n: int):
     """The faces of delta^n over every position of G^(n+1), as arrays.
 
     Returns (faces, g1, inv).  faces lists, in _faces order, each face's
-    flat index into G^n, its sign and the corner id of the face position;
-    g1 is the shift row; inv[corner id, r] is r's corner inverse, or -1.
+    flat index into G^n, its sign and the face position's row in inv;
+    g1 is the shift row; inv is the ring's corner-inverse table.
     """
     G = action.group
     nG = G.order
@@ -249,15 +274,14 @@ def _face_plan(action: PartialAction, n: int):
              for i in range(1, n + 1)]
     cols.append(gs[:n])
     signs = [1] + [-1 if i % 2 else 1 for i in range(1, n + 2)]
-    idems, inv = _inverse_rows(action)
-    corner_id = np.searchsorted(idems, _corners(action, n))
+    inv_row = _space(action, n).inv_row
     faces = []
     for face, sign in zip(cols, signs):
         idx = np.zeros(gs.shape[1], dtype=np.int64)
         for col in face:
             idx = idx * nG + col
-        faces.append((idx, sign, corner_id[idx]))
-    return tuple(faces), gs[0].copy(), inv
+        faces.append((idx, sign, inv_row[idx]))
+    return tuple(faces), gs[0].copy(), _inverse_table(action.ring)
 
 
 def _delta_batch(action: PartialAction, n: int, tables) -> np.ndarray:
@@ -283,28 +307,24 @@ def _delta_batch(action: PartialAction, n: int, tables) -> np.ndarray:
 # ---------------------------------------------------------------- engines
 
 def _position_data(action: PartialAction, n: int):
-    _, unit_lists = _machinery(action)
-    corners = _corners(action, n).tolist()
-    units = [unit_lists[e] for e in corners]
-    return positions(action, n), corners, units
+    space = _space(action, n)
+    return positions(action, n), space.corners.tolist(), space.units
 
 
 def cochain_space_size(action: PartialAction, n: int) -> int:
-    _, _, units = _position_data(action, n)
-    return prod(len(u) for u in units)
+    return prod(len(u) for u in _space(action, n).units)
 
 
 def _enumerate_cochains(action: PartialAction, n: int):
     """Iterate every n-cochain value table in lexicographic order."""
-    _, _, units = _position_data(action, n)
     total = cochain_space_size(action, n)
     limit = action.budgets.cochain_scan
     if total > limit:
         raise BudgetError("cochain-scan", limit, total)
-    return itertools.product(*units)
+    return itertools.product(*_space(action, n).units)
 
 
-@lru_cache(maxsize=64)
+@cached_on("_cache")
 def _kernel_dfs(action: PartialAction, n: int) -> list[tuple[int, ...]]:
     """All n-cocycles by depth-first search with constraint propagation.
 
@@ -313,17 +333,18 @@ def _kernel_dfs(action: PartialAction, n: int) -> list[tuple[int, ...]]:
     budget bounds work on adversarial inputs.
     """
     R = action.ring
-    pos, corners, units = _position_data(action, n)
-    P = len(pos)
-    inv_map, _ = _machinery(action)
+    space = _space(action, n)
+    units = space.units
+    P = len(units)
 
     # constraints: one per (n+1)-tuple; factor slots refer to positions
-    faces, g1, _ = _face_plan(action, n)
+    faces, g1, inv = _face_plan(action, n)
+    inv_row = space.inv_row.tolist()
     faces = [(idx.tolist(), sign, k == 0)
              for k, (idx, sign, _) in enumerate(faces)]
+    targets = _space(action, n + 1).corners.tolist()
     cons = [(g, [(idx[q], sign, shifted) for idx, sign, shifted in faces], e)
-            for q, (g, e) in enumerate(zip(g1.tolist(),
-                                           _corners(action, n + 1).tolist()))]
+            for q, (g, e) in enumerate(zip(g1.tolist(), targets))]
     touching = [[] for _ in range(P)]
     for ci, (_, slots, _) in enumerate(cons):
         for p, _, _ in slots:
@@ -363,7 +384,7 @@ def _kernel_dfs(action: PartialAction, n: int) -> list[tuple[int, ...]]:
         for p, sign, shifted in slots:
             v = assign[p]
             if sign < 0:
-                v = int(inv_map[corners[p]][v])
+                v = int(inv[inv_row[p], v])
             if shifted:
                 v = int(ahat[g1, v])
             acc = v if acc is None else int(mul[acc, v])
@@ -388,12 +409,7 @@ def _kernel_dfs(action: PartialAction, n: int) -> list[tuple[int, ...]]:
     return sorted(results)
 
 
-def _image_scan(action: PartialAction, n: int) -> set[tuple[int, ...]]:
-    """All delta^(n-1) images as value tables (B^n)."""
-    return set(map(tuple, _image_rows(action, n).tolist()))
-
-
-@lru_cache(maxsize=64)
+@cached_on("_cache")
 def _image_rows(action: PartialAction, n: int) -> np.ndarray:
     """B^n for the enumeration engine, as the rows of a read-only array:
     the subgroup of C^n that the delta^(n-1) images of the corner-unit
@@ -404,7 +420,7 @@ def _image_rows(action: PartialAction, n: int) -> np.ndarray:
     R = action.ring
     gens, _, cod = _generator_images(action, n - 1)
     dtype = np.min_scalar_type(R.order - 1)
-    width = len(cod[0])
+    width = len(cod.corners)
     key_type = np.dtype((np.void, width * dtype.itemsize))
 
     def keys(rows):
@@ -414,7 +430,7 @@ def _image_rows(action: PartialAction, n: int) -> np.ndarray:
         return np.frombuffer(b"".join(ks), dtype=dtype).reshape(-1, width)
 
     limit = action.budgets.materialize
-    found = keys(np.array([cod[1]]))   # the identity cochain
+    found = keys(cod.corners[None, :])   # the identity cochain
     seen = set(found)
     frontier = rows_of(found)
     while len(frontier):
@@ -476,11 +492,9 @@ def _enumeration_engine(action: PartialAction, n: int) -> CohomologyGroup:
     R = action.ring
     z_tables = _kernel_dfs(action, n)
     if n == 0:
-        b_tables = [(R.one,) * 1]
-        b_set = set(b_tables)
+        b_tables = [(R.one,)]
     else:
-        b_set = _image_scan(action, n)
-        b_tables = sorted(b_set)
+        b_tables = sorted(map(tuple, _image_rows(action, n).tolist()))
     zset = set(z_tables)
     for bt in b_tables:
         assert bt in zset, "B must sit inside Z"
@@ -501,55 +515,34 @@ def _enumeration_engine(action: PartialAction, n: int) -> CohomologyGroup:
                            engine="enumerate", lex_least=True)
 
 
-@lru_cache(maxsize=64)
-def _corner_presentation(action: PartialAction, e: int) -> FinAbPresentation:
-    cu = corner_units(action.ring, e)
-    return groups.subgroup_structure(cu.elements, action.ring.mul, e)
-
-
-def _space_presentations(action: PartialAction, n: int):
-    """Per-position corner presentations and the global moduli vector."""
-    pos, corners, _ = _position_data(action, n)
-    pres = [_corner_presentation(action, e) for e in corners]
-    moduli = []
-    offsets = []
-    for p in pres:
-        offsets.append(len(moduli))
-        moduli.extend(p.invariant_factors)
-    return pos, corners, pres, moduli, offsets
-
-
 def _generator_images(action: PartialAction, n: int):
     """delta^n of each corner-unit generator cochain (the identity cochain
     with one position moved to a generator of its corner's unit group), as
-    value tables, together with both spaces' descriptions."""
+    value tables, together with the records of C^n and C^(n+1)."""
     size = action.group.order ** (n + 1)
     limit = action.budgets.structure_positions
     if size > limit:
         raise BudgetError("structure-positions", limit, size)
-    dom = _space_presentations(action, n)
-    cod = _space_presentations(action, n + 1)
-    _, ident_d, pres_d, _, _ = dom
-    at = [i for i, p in enumerate(pres_d) for _ in p.generators]
-    tables = np.tile(np.array(ident_d, dtype=np.int64), (len(at), 1))
-    tables[np.arange(len(at)), at] = [g for p in pres_d for g in p.generators]
+    dom, cod = _space(action, n), _space(action, n + 1)
+    pres = dom.presentations
+    at = [i for i, p in enumerate(pres) for _ in p.generators]
+    tables = np.tile(dom.corners, (len(at), 1))
+    tables[np.arange(len(at)), at] = [g for p in pres for g in p.generators]
     return _delta_batch(action, n, tables), dom, cod
 
 
 def _delta_matrix(action: PartialAction, n: int):
     """Generator matrix of delta^n : C^n -> C^(n+1) in corner-presentation
-    coordinates, together with both spaces' descriptions."""
+    coordinates, together with the records of C^n and C^(n+1)."""
     images, dom, cod = _generator_images(action, n)
-    _, corners, pres_c, mod_c, off_c = cod
-    corners, off_c = np.asarray(corners), np.asarray(off_c)
-    rows = np.zeros((len(images), len(mod_c)), dtype=np.int64)
-    for e in np.unique(corners).tolist():   # one gather per corner
-        at = np.nonzero(corners == e)[0]
-        table = pres_c[at[0]].coord_table
+    rows = np.zeros((len(images), len(cod.moduli)), dtype=np.int64)
+    for e in np.unique(cod.corners).tolist():   # one gather per corner
+        at = np.flatnonzero(cod.corners == e)
+        table = _unit_presentation(action.ring, e).coord_table
         coords = table[images[:, at]]
         if (coords < 0).any():
             raise DefectError("delta image outside its corner's unit group")
-        rows[:, off_c[at][:, None] + np.arange(table.shape[1])] = coords
+        rows[:, cod.offsets[at][:, None] + np.arange(table.shape[1])] = coords
     return rows, dom, cod
 
 
@@ -562,14 +555,15 @@ def _structure_engine(action: PartialAction, n: int) -> CohomologyGroup:
         grp = _enumeration_engine(action, 0)
         return dataclasses.replace(grp, engine="structure")
     rows_n, dom_n, cod_n = _delta_matrix(action, n)
-    mod_d = dom_n[3]
+    mod_d = dom_n.moduli
     rows_prev, dom_prev, cod_prev = _delta_matrix(action, n - 1)
-    assert cod_prev[3] == mod_d, "space descriptions must line up"
+    assert cod_prev is dom_n, "space records must line up"
     # Z = kernel lattice of delta^n and B = image lattice of delta^(n-1),
     # both inside Z^kd and both containing the moduli lattice
-    z_order, _, lam = groups.kernel_image_orders(rows_n, mod_d, cod_n[3])
-    _, b_order, _ = groups.kernel_image_orders(rows_prev, dom_prev[3], mod_d)
-    if intmat.images(rows_prev, rows_n, mod_d, cod_n[3]).any():
+    z_order, _, lam = groups.kernel_image_orders(rows_n, mod_d, cod_n.moduli)
+    _, b_order, _ = groups.kernel_image_orders(rows_prev, dom_prev.moduli,
+                                               mod_d)
+    if intmat.images(rows_prev, rows_n, mod_d, cod_n.moduli).any():
         raise DefectError("image vector outside kernel lattice")
     b_lat = intmat.RowLattice(mod_d, rows_prev)
     h_order = b_lat.covolume() // lam.covolume()
@@ -616,31 +610,30 @@ def _lex_least(vecs, b_basis, space) -> np.ndarray:
     |U(e_p)|) reach every value the coset still allows there.  So take
     the combination whose value has the least ring index, add it as full
     rows, and go on to the next position."""
-    _, corners, pres, moduli, offsets = space
-    mods = np.array(moduli, dtype=np.int64)
+    R, corners, offsets = space.ring, space.corners, space.offsets
+    pres = {e: _unit_presentation(R, e) for e in np.unique(corners).tolist()}
+    # unit_at[e][c @ radix] is the unit of the corner at e with coordinates c
+    unit_at = {e: np.array(p.elements, dtype=np.int64)[p.by_coords]
+               for e, p in pres.items()}
+    mods = np.array(space.moduli, dtype=np.int64)
     vecs = vecs % mods
     # the pivot row at column c moves it through m_c / pivot values
     steps = mods // np.array([row[c] for c, row in enumerate(b_basis)],
                              dtype=np.int64)
-    owner = np.repeat(np.arange(len(pres)),
-                      [len(p.invariant_factors) for p in pres])
-    look = {}
+    owner = np.searchsorted(offsets, np.arange(len(mods)), side="right") - 1
     for i in np.unique(owner[steps > 1]).tolist():
-        lo, p = offsets[i], pres[i]
-        hi = lo + len(p.invariant_factors)
-        values, flat = _lookup(look, corners[i], p)
+        e = int(corners[i])
+        radix = pres[e].radix
+        lo, hi = offsets[i], offsets[i] + len(radix)
         moves = _grid(steps[lo:hi].tolist()) @ np.array(
             b_basis[lo:hi], dtype=np.int64) % mods
         cand = (vecs[:, None, lo:hi] + moves[None, :, lo:hi]) % mods[lo:hi]
-        vecs = (vecs + moves[values[cand @ flat].argmin(axis=1)]) % mods
-    tables = np.empty((len(vecs), len(pres)), dtype=np.int64)
-    corners, offsets = np.asarray(corners), np.asarray(offsets)
-    for e in np.unique(corners).tolist():   # one gather per corner
+        vecs = (vecs + moves[unit_at[e][cand @ radix].argmin(axis=1)]) % mods
+    tables = np.empty((len(vecs), len(corners)), dtype=np.int64)
+    for e, p in pres.items():   # one gather per corner
         at = np.flatnonzero(corners == e)
-        p = pres[at[0]]
-        values, flat = _lookup(look, e, p)
-        cols = offsets[at][:, None] + np.arange(len(flat))
-        tables[:, at] = values[vecs[:, cols] @ flat]
+        cols = offsets[at][:, None] + np.arange(len(p.radix))
+        tables[:, at] = unit_at[e][vecs[:, cols] @ p.radix]
     return tables
 
 
@@ -648,18 +641,6 @@ def _grid(sizes) -> np.ndarray:
     """Every integer vector below sizes, one row each, in lexicographic
     order."""
     return np.indices(sizes, dtype=np.int64).reshape(len(sizes), prod(sizes)).T
-
-
-def _lookup(cache: dict, e: int, pres: FinAbPresentation):
-    """(values, weights) of the corner at e: values[c·weights] is the unit
-    with coordinates c, weights mixed-radix with the first coordinate
-    most significant, as in by_coords."""
-    if e not in cache:
-        d = pres.invariant_factors
-        cache[e] = (np.array(pres.elements, dtype=np.int64)[pres.by_coords],
-                    np.array([prod(d[i + 1:]) for i in range(len(d))],
-                             dtype=np.int64))
-    return cache[e]
 
 
 def _combine(coeffs, rows, k: int) -> list[int]:
@@ -764,20 +745,19 @@ def normalize_2cocycle(action: PartialAction, f: Cochain):
         raise PreconditionError("expects a 2-cochain")
     if not is_cocycle(action, f):
         raise PreconditionError("input is not a 2-cocycle")
-    G, R = action.group, action.ring
-    one = G.identity
+    G = action.group
+    g = np.arange(G.order)
+    # the positions (1, g) and (g, 1), and their corners
+    at = np.concatenate([G.identity * G.order + g, g * G.order + G.identity])
+    ident = _space(action, 2).corners[at]
 
     def normalized(c: Cochain) -> bool:
-        return all(
-            c[(one, g)] == corner_idem(action, (one, g))
-            and c[(g, one)] == corner_idem(action, (g, one))
-            for g in range(G.order))
+        return np.array_equal(c.values[at], ident)
 
     if normalized(f):
         return f, identity_cochain(action, 1)
 
-    eps_vals = np.array([f[(g, one)] for g in range(G.order)], dtype=np.int64)
-    eps = Cochain(action, 1, eps_vals)
+    eps = Cochain(action, 1, f.values[g * G.order + G.identity])
     cand = cochain_mul(f, cochain_inv(coboundary(action, eps)))
     if normalized(cand) and is_cocycle(action, cand):
         return cand, eps

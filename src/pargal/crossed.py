@@ -24,7 +24,7 @@ from math import prod
 
 import numpy as np
 
-from .cohomology import (Cochain, _corners, _delta_batch, coboundary,
+from .cohomology import (Cochain, _delta_batch, _space, coboundary,
                          cochain_mul)
 from .errors import DefectError, PreconditionError
 from .partial_action import (Budgets, PartialAction, _additive_generators,
@@ -320,7 +320,7 @@ def _z2_witness(action: PartialAction, f: Cochain):
     delta f = 1 fails, or None: one batched delta^2, held as a Cochain so
     the cochain-size budget refuses it, against the corners of G^3."""
     df = Cochain(action, 3, _delta_batch(action, 2, f.values[None, :])[0])
-    bad = np.flatnonzero(df.values != _corners(action, 3))
+    bad = np.flatnonzero(df.values != _space(action, 3).corners)
     if not bad.size:
         return None
     gs = np.unravel_index(int(bad[0]), (action.group.order,) * 3)

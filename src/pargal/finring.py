@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from math import prod
 
 import numpy as np
@@ -36,6 +36,20 @@ DEFAULT_RING_CAP = 4096
 # with e*e == e (consumers check).
 RingElement = int
 Idempotent = int
+
+
+def cached_on(attr: str):
+    """Keep fn(obj, *args) in the dict obj.<attr>, keyed by fn's name and
+    args, so it is freed with obj.  A call that raises stores nothing."""
+    def wrap(fn):
+        @wraps(fn)
+        def cached(obj, *args):
+            cache, key = getattr(obj, attr), (fn.__name__, *args)
+            if key not in cache:
+                cache[key] = fn(obj, *args)
+            return cache[key]
+        return cached
+    return wrap
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,14 +99,10 @@ class FiniteRing:
     def _corner_cache(self) -> dict:
         return {}
 
+    @cached_on("_corner_cache")
     def corner_members(self, e: int) -> tuple[int, ...]:
         """Sorted elements of the ideal Re."""
-        key = ("members", e)
-        got = self._corner_cache.get(key)
-        if got is None:
-            got = tuple(int(x) for x in sorted(set(self.mul[:, e].tolist())))
-            self._corner_cache[key] = got
-        return got
+        return tuple(int(x) for x in sorted(set(self.mul[:, e].tolist())))
 
     def is_idempotent(self, e: int) -> bool:
         return int(self.mul[e, e]) == e
@@ -156,14 +166,11 @@ def primitive_idempotents(ring: FiniteRing) -> tuple[int, ...]:
     return tuple(prims)
 
 
+@cached_on("_corner_cache")
 def corner_units(ring: FiniteRing, e: int) -> CornerUnitGroup:
     """The group {u in Re : exists u' in Re with u*u' = e}."""
     if not ring.is_idempotent(e):
         raise ValueError(f"{e} is not idempotent")
-    key = ("units", e)
-    got = ring._corner_cache.get(key)
-    if got is not None:
-        return got
     members = np.array(ring.corner_members(e), dtype=np.int64)
     prods = ring.mul[np.ix_(members, members)]
     ii, jj = np.nonzero(prods == e)
@@ -175,9 +182,7 @@ def corner_units(ring: FiniteRing, e: int) -> CornerUnitGroup:
         if u in inverse and inverse[u] != v:
             raise ValueError(f"non-unique corner inverse for {u} at e={e}")
         inverse[u] = v
-    group = CornerUnitGroup(ring, e, tuple(sorted(inverse)), inverse)
-    ring._corner_cache[key] = group
-    return group
+    return CornerUnitGroup(ring, e, tuple(sorted(inverse)), inverse)
 
 
 def units(ring: FiniteRing) -> CornerUnitGroup:

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, lcm, prod
 
 import numpy as np
 
 from . import intmat
 from .errors import DefectError, PreconditionError
-from .finring import FiniteRing, _additive_span, primitive_idempotents
+from .finring import (FiniteRing, _additive_span, cached_on,
+                      primitive_idempotents)
 from .groups import FinAbPresentation, kernel_image_orders, subgroup_structure
 from .partial_action import PartialAction, _additive_generators, invariant_subring
 
@@ -91,7 +91,7 @@ def verify_certificate(action: PartialAction, cert) -> CertificateCheck:
 
 # ------------------------------------------------------------------ lattice
 
-@lru_cache(maxsize=64)
+@cached_on("_corner_cache")
 def _additive_presentation(ring: FiniteRing) -> FinAbPresentation:
     return subgroup_structure(range(ring.order), ring.add, ring.zero)
 
@@ -203,6 +203,8 @@ def find_certificate(action: PartialAction, max_m: int = 4):
     """GaloisCertificate or NotFound.  NotFound is conclusive whenever the
     lattice membership test ran (it decides existence for every length m);
     otherwise the exhaustive bound is reported as inconclusive."""
+    if max_m < 1:
+        raise PreconditionError(f"max_m must be at least 1, got {max_m}")
     cert = _idempotent_candidate(action)
     if cert is not None:
         return cert

@@ -165,12 +165,17 @@ class FinAbPresentation:
         return out
 
     @cached_property
+    def radix(self) -> np.ndarray:
+        """Weights numbering coordinate vectors c as c @ radix."""
+        d = self.invariant_factors
+        return np.array([prod(d[i + 1:]) for i in range(len(d))],
+                        dtype=np.int64)
+
+    @cached_property
     def by_coords(self) -> np.ndarray:
         """The index in elements of the element at each coordinate vector,
         numbered mixed-radix with the first coordinate most significant."""
-        flat = np.zeros(len(self.elements), dtype=np.int64)
-        for c, d in zip(self.coords.T, self.invariant_factors):
-            flat = flat * d + c
+        flat = self.coords @ self.radix
         out = np.empty_like(flat)
         out[flat] = np.arange(len(flat))
         return out

@@ -260,6 +260,11 @@ class PartialAction:
             out[g] = self.alpha[g][self.ring.mul[:, self.one_g[inv[g]]]]
         return out
 
+    @cached_property
+    def _cache(self) -> dict:
+        """Tables computed from this action, freed with it."""
+        return {}
+
     def one(self, g: int) -> int:
         return int(self.one_g[g])
 

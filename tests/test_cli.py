@@ -3,6 +3,7 @@ determinism."""
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from pargal import cli, fixture
 from pargal.cohomology import cohomology_group, identity_cochain
 from pargal.config import (ConfigError, build_action, build_global,
                            parse_config, resolve_idempotent)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 E1_INI = """
 [ring]
@@ -479,3 +482,25 @@ def test_bad_twist_rejected(capsys):
     code, _, err = run(capsys, ["crossed", "--fixture", "E1",
                                 "--twist", ",".join(["0"] * 9)])
     assert code == 2 and "not a unit" in err
+
+
+@pytest.mark.parametrize("twist", ["99,1,1,1,1,1,1,1,1",
+                                   "-1,1,2,1,0,1,2,2,0"])
+def test_twist_value_outside_the_ring_refused(capsys, twist):
+    # 99 lies past the ring's last index and -1 before its first: neither
+    # may index the ring tables (or wrap round), so each exits 2 in one line
+    code, out, err = run(capsys, ["crossed", "--config",
+                                  str(CONFIGS / "e1.ini"), f"--twist={twist}"])
+    value = twist.split(",")[0]
+    assert (code, out) == (2, "")
+    assert err == (f"error: value {value} at (0, 0) is not an element of "
+                   f"the ring (0..3)\n")
+
+
+@pytest.mark.parametrize("max_m", ["0", "-3"])
+def test_max_m_below_one_refused(capsys, max_m):
+    code, out, err = run(capsys, ["galois", "--config",
+                                  str(CONFIGS / "n1.ini"), f"--max-m={max_m}",
+                                  "--budget", "10"])
+    assert (code, out) == (2, "")
+    assert err == f"error: max_m must be at least 1, got {max_m}\n"

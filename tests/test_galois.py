@@ -318,3 +318,8 @@ def test_random_restrictions_conclusive(seed):
     rep = galois.regular_representation(act)
     if rep.bijective is not None and out is not None:
         assert isinstance(out, galois.GaloisCertificate) == rep.bijective
+
+
+def test_find_certificate_refuses_max_m_below_one():
+    with pytest.raises(PreconditionError, match="max_m must be at least 1"):
+        galois.find_certificate(fixtures.fixture("N1"), max_m=0)

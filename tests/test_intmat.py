@@ -185,8 +185,9 @@ def test_kernel_lattice_matches_snf_on_delta(name, stress_action):
     act = fixtures.fixture(name) if name[0] == "E" else stress_action(name)
     for n in (0, 1, 2):
         rows, dom, cod = coh._delta_matrix(act, n)
-        got = intmat.kernel_lattice(rows, dom[3], cod[3])
-        assert got.basis() == _snf_kernel_lattice(rows, dom[3], cod[3]).basis()
+        got = intmat.kernel_lattice(rows, dom.moduli, cod.moduli)
+        assert got.basis() == _snf_kernel_lattice(
+            rows, dom.moduli, cod.moduli).basis()
 
 
 def test_row_lattice_membership_and_covolume():
@@ -246,11 +247,12 @@ def test_row_lattice_matches_plain_on_h3_lattices(name, stress_action):
     act = fixtures.fixture(name) if name[0] == "E" else stress_action(name)
     rows_n, dom, cod = coh._delta_matrix(act, 3)
     rows_prev, _, _ = coh._delta_matrix(act, 2)
-    _, _, lam = groups.kernel_image_orders(rows_n, dom[3], cod[3])
+    mod_d = dom.moduli
+    _, _, lam = groups.kernel_image_orders(rows_n, mod_d, cod.moduli)
     rng = random.Random(5)
-    probes = [[rng.randrange(-50, 50) for _ in dom[3]] for _ in range(20)]
-    _assert_matches_plain(dom[3], rows_prev, probes)   # B^3
-    _assert_matches_plain(dom[3], lam.basis(), probes)  # Z^3
+    probes = [[rng.randrange(-50, 50) for _ in mod_d] for _ in range(20)]
+    _assert_matches_plain(mod_d, rows_prev, probes)   # B^3
+    _assert_matches_plain(mod_d, lam.basis(), probes)  # Z^3
 
 
 def test_row_lattice_full_integer_lattice():
