@@ -171,7 +171,7 @@ def _parse_twist(act: PartialAction, spec: str) -> Cochain:
     if len(vals) != size:
         raise ConfigError(f"--twist needs {size} values, one per pair of "
                           "group elements in lexicographic order")
-    return Cochain(act, 2, np.asarray(vals, dtype=np.int64))
+    return Cochain(act, 2, vals)
 
 
 _ASSOC_PROOF = "proved on additive generators of a bi-additive table"

@@ -7,11 +7,12 @@ search) and a structure engine (corner unit presentations, generator
 matrices for delta, kernel and image lattices that carry their moduli).
 The structure engine reads |H| off the ratio of the two covolumes, the
 kernel's taken from its elimination, and only when |H| > 1 runs one
-Smith form of B's basis in Z's basis for H's invariant factors and
-generators.  Its representatives are lex-least by echelon descent over
-B's Hermite basis, so it never lists B^n; the enumeration engine lists
-B^n as the subgroup generated by the coboundaries of the corner-unit
-generators.  They agree wherever both run, and tests insist on it.
+Smith form over Z/|H| on the at most log2|H| torsion columns of B's
+basis in Z's basis for H's invariant factors and generators.  Its
+representatives are lex-least by echelon descent over B's Hermite basis,
+so it never lists B^n; the enumeration engine lists B^n as the subgroup
+generated by the coboundaries of the corner-unit generators.  Both list
+classes in value-table order, agree wherever both run, and tests insist.
 
 Each cochain space C^n has one record (CochainSpace), built once per
 (action, n): every position's corner and that corner's row in the ring's
@@ -130,6 +131,11 @@ class Cochain:
 
     def __post_init__(self):
         R, G = self.action.ring, self.action.group
+        values = np.asarray(self.values)
+        if values.ndim != 1 or values.dtype.kind not in "iu":
+            raise PreconditionError(
+                "cochain values must be a 1-D integer sequence")
+        object.__setattr__(self, "values", values.astype(np.int64, copy=False))
         size = G.order ** self.n
         limit = self.action.budgets.cochain_size
         if size > limit:
@@ -192,11 +198,8 @@ def identity_cochain(action: PartialAction, n: int) -> Cochain:
 def cochain_from_map(action: PartialAction, n: int, mapping) -> Cochain:
     """Build a cochain from {(g1..gn): value}; n=0 accepts a bare unit."""
     if n == 0 and not isinstance(mapping, dict):
-        return Cochain(action, 0, np.array([int(mapping)], dtype=np.int64))
-    vals = np.empty(action.group.order ** n, dtype=np.int64)
-    for flat, gs in enumerate(positions(action, n)):
-        vals[flat] = mapping[gs]
-    return Cochain(action, n, vals)
+        return Cochain(action, 0, [int(mapping)])
+    return Cochain(action, n, [mapping[gs] for gs in positions(action, n)])
 
 
 def cochain_mul(f: Cochain, f2: Cochain) -> Cochain:
@@ -506,8 +509,7 @@ def _enumeration_engine(action: PartialAction, n: int) -> CohomologyGroup:
 
     ident = canon[tuple(int(v) for v in identity_cochain(action, n).values)]
     pres = groups.abelian_structure(reps, op, ident)
-    rep_cochains = tuple(
-        Cochain(action, n, np.array(t, dtype=np.int64)) for t in reps)
+    rep_cochains = tuple(Cochain(action, n, t) for t in reps)
     return CohomologyGroup(n=n, z_order=len(z_tables), b_order=len(b_tables),
                            h_order=h_order,
                            invariant_factors=pres.invariant_factors,
@@ -570,28 +572,31 @@ def _structure_engine(action: PartialAction, n: int) -> CohomologyGroup:
     assert z_order == b_order * h_order, \
         "lattice quotient disagrees with order bookkeeping"
 
-    # H = Z / B: a Smith form of B's basis in Z's basis gives its
-    # invariant factors and cyclic generators (rows of Vinv)
+    # H = Z / B: in the coordinates of Z's basis K, B's basis is the upper
+    # triangular C, and one Smith form over Z/|H| of the relations C leaves
+    # on its torsion columns J gives H's invariant factors and its cyclic
+    # generators, rows of Vinv taken back to cochains through K's J rows
     factors, gen_vecs = (), np.zeros((0, len(mod_d)), dtype=np.int64)
     if h_order > 1:
         K = lam.basis()
-        diag, _, Vinv = intmat.smith_normal_form(
-            _solve_triangular(K, b_lat.basis()))
+        J, rels = _torsion_relations(_solve_triangular(K, b_lat.basis()),
+                                     h_order)
+        diag, _, Vinv = intmat.smith_normal_form(rels, h_order)
         keep = [i for i, d in enumerate(diag) if d > 1]
         factors = tuple(diag[i] for i in keep)
         assert prod(factors) == h_order, "Smith form disagrees with covolumes"
-        gen_vecs = np.array([[x % m for x, m in zip(
-            _combine(Vinv[i], K, len(mod_d)), mod_d)] for i in keep],
-            dtype=np.int64).reshape(len(keep), len(mod_d))
+        gen_vecs = intmat.images([Vinv[i] for i in keep], [K[j] for j in J],
+                                 [h_order] * len(J), mod_d).astype(np.int64)
 
-    # representatives: one cochain per coset when |H| is listable,
-    # otherwise just the cyclic generators; each the least member of its
-    # coset, so distinct cosets have distinct tables
-    if h_order <= REP_COSET_CAP:
-        rep_vecs = _grid(factors) @ gen_vecs
-    else:
-        rep_vecs = gen_vecs
-    rep_tables = _lex_least(rep_vecs, b_lat.basis(), dom_n)
+    # representatives: one cochain per coset when |H| is listable, in
+    # lexicographic order as the enumeration engine lists them, otherwise
+    # just the cyclic generators; each the least member of its coset, so
+    # distinct cosets have distinct tables
+    listed = h_order <= REP_COSET_CAP
+    rep_tables = _lex_least(_grid(factors) @ gen_vecs if listed else gen_vecs,
+                            b_lat.basis(), dom_n)
+    if listed:
+        rep_tables = rep_tables[np.lexsort(rep_tables.T[::-1])]
     assert len({t.tobytes() for t in rep_tables}) == len(rep_tables), \
         "quotient labels must be distinct"
     reps = tuple(Cochain(action, n, t) for t in rep_tables)
@@ -643,12 +648,21 @@ def _grid(sizes) -> np.ndarray:
     return np.indices(sizes, dtype=np.int64).reshape(len(sizes), prod(sizes)).T
 
 
-def _combine(coeffs, rows, k: int) -> list[int]:
-    """sum_i coeffs[i]·rows[i] as a length-k integer vector."""
-    vec = [0] * k
-    for c, row in zip(coeffs, rows):
-        vec = [a + c * b for a, b in zip(vec, row)]
-    return vec
+def _torsion_relations(C, h: int):
+    """The columns J of an upper triangular C, Z^k / rows(C) of order h,
+    with a diagonal entry above 1, and the |J| x |J| relations mod h left
+    on them.  By row c each other column c is -sum_(j>c) C[c][j]·e_j, so
+    bottom row first each is written in J, and so are the rows of J."""
+    k = len(C)
+    J = [c for c in range(k) if C[c][c] > 1]
+    dtype = np.int64 if (k + 1) * h * h < 2 ** 62 else object
+    C = (np.array(C, dtype=object) % h).astype(dtype)
+    E = np.zeros((k, len(J)), dtype=dtype)   # column c in J's coordinates
+    E[J, np.arange(len(J))] = 1
+    for c in reversed(range(k)):
+        if C[c, c] == 1:
+            E[c] = -(C[c, c + 1:] @ E[c + 1:]) % h
+    return J, (C[J] @ E % h).tolist()
 
 
 def _solve_triangular(basis_rows, targets):
@@ -737,9 +751,13 @@ def is_cocycle(action: PartialAction, f: Cochain) -> bool:
 def normalize_2cocycle(action: PartialAction, f: Cochain):
     """A normalized cocycle f~ and eps in C^1 with f = f~ · delta(eps).
 
-    The closed-form candidate eps(g) = f(g,1) is tried first; exhaustive
-    search over C^1 is the fallback.  Existence is guaranteed, so double
-    failure raises a defect.
+    eps(g) = f(g,1) always works.  The cocycle identity at (x,1,1) gives
+    f(x,1) = alpha_x(f(1,1)·1_{x^-1}), and at (1,1,z) it gives
+    f(1,z) = f(1,1)·1_z.  So delta(eps)(x,1) = alpha_x(eps(1)·1_{x^-1})
+    = f(x,1) and delta(eps)(1,y) = eps(1)·1_y = f(1,y): delta(eps) agrees
+    with f at every (x,1) and (1,y), and f·delta(eps)^-1 is a normalized
+    cocycle.  The candidate is checked all the same, and a failed check
+    is a defect.
     """
     if f.n != 2:
         raise PreconditionError("expects a 2-cochain")
@@ -761,11 +779,5 @@ def normalize_2cocycle(action: PartialAction, f: Cochain):
     cand = cochain_mul(f, cochain_inv(coboundary(action, eps)))
     if normalized(cand) and is_cocycle(action, cand):
         return cand, eps
-
-    for table in _enumerate_cochains(action, 1):
-        eps = Cochain(action, 1, np.array(table, dtype=np.int64))
-        cand = cochain_mul(f, cochain_inv(coboundary(action, eps)))
-        if normalized(cand) and is_cocycle(action, cand):
-            return cand, eps
-    raise DefectError("no normalizing witness found; this contradicts "
-                      "the guaranteed existence of normalized forms")
+    raise DefectError("eps(g) = f(g,1) does not normalize f; this "
+                      "contradicts the 2-cocycle identity")

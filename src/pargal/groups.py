@@ -213,8 +213,9 @@ def _present(elems, T, identity) -> FinAbPresentation:
     in the span of g_1..g_(t-1) and 0 <= a < o_t, o_t the least power of
     g_t back in that span.  The k power relations o_t·e_t - c(g_t^o_t)
     then span every relation among the g_t (the quotient they cut has
-    order prod o_t = n), so one Smith form of their Hermite basis gives
-    the invariant factors, the new generators and every discrete log."""
+    order prod o_t = n, so they contain n·Z^k), and one Smith form of
+    them over Z/n gives the invariant factors, the new generators and
+    every discrete log."""
     n = len(elems)
     if identity not in elems:
         raise PreconditionError("identity not among the elements")
@@ -252,29 +253,20 @@ def _present(elems, T, identity) -> FinAbPresentation:
     if not k:
         return FinAbPresentation(tuple(elems), (), (), identity, C)
     rels = [r[:k].tolist() for r in rels]
-    diag, V, Vinv = intmat.smith_normal_form(intmat.RowLattice([n] * k, rels).basis())
-    # Z^k / rows(M) = sum Z/d_i in the coordinates c -> c V
-    keep = [i for i, d in enumerate(diag) if d > 1]
-    factors = tuple(diag[i] for i in keep)
-    box = np.zeros(n, dtype=np.int64)   # element index by its coordinates
-    orders = [r[t] for t, r in enumerate(rels)]
-    strides = [prod(orders[t + 1:]) for t in range(k)]
-    box[C @ np.array(strides, dtype=np.int64)] = np.arange(n)
-    new_gens = []
-    for j in keep:   # prod g_t^Vinv[j][t], reduced by the power relations
-        c = list(Vinv[j])
-        for t in reversed(range(k)):
-            q = c[t] // orders[t]
-            c = [a - q * r for a, r in zip(c, rels[t])]
-        new_gens.append(int(box[sum(a * w for a, w in zip(c, strides))]))
-    Vk = np.array([[V[r][j] % diag[j] for j in keep] for r in range(k)],
-                  dtype=np.int64).reshape(k, len(keep))
-    coords = C @ Vk % np.array(factors, dtype=np.int64)
-    # reconstruction check: each new generator has unit coordinates
-    if not np.array_equal(coords[new_gens], np.eye(len(keep), dtype=np.int64)):
-        raise AssertionError("generator coordinates fail to round-trip")
+    diag, V, _ = intmat.smith_normal_form(rels, n)
+    # Z^k / (rels + n·Z^k) = sum Z/d_j in the coordinates c -> c V, one
+    # vector per element, so the generator of Z/d_j is the element whose
+    # coordinates are the j-th unit vector
+    keep = [j for j, d in enumerate(diag) if d > 1]
+    factors = tuple(diag[j] for j in keep)
     assert prod(factors) == n
-    return FinAbPresentation(tuple(elems), tuple(elems[x] for x in new_gens),
+    coords = C @ np.array(V, dtype=np.int64)[:, keep] % np.array(factors)
+    radix = [prod(factors[j + 1:]) for j in range(len(keep))]
+    at = np.full(n, -1, dtype=np.int64)   # element index by its coordinates
+    at[coords @ np.array(radix, dtype=np.int64)] = np.arange(n)
+    if (at < 0).any():
+        raise AssertionError("two elements share their coordinates")
+    return FinAbPresentation(tuple(elems), tuple(elems[i] for i in at[radix]),
                              factors, identity, coords)
 
 

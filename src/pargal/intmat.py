@@ -9,9 +9,10 @@ between finite abelian groups never leave the moduli either, so
 `kernel_lattice` works on numpy rows reduced mod the domain orders and
 reads the kernel's covolume off its own elimination; it also decides
 whether a target is in a span mod moduli (Hermite row 0 of the kernel
-of [-target; rows], as in the Galois solve).  The pivot-by-smallest
-Smith form remains for quotient generators, on unreduced ints, and
-tracks only its column transform.
+of [-target; rows], as in the Galois solve).  Every quotient it is
+asked to present contains modulus·Z^k, so the Smith form works over
+Z/modulus: its entries, its column transform and that transform's
+inverse never grow past the modulus.
 """
 from __future__ import annotations
 
@@ -25,84 +26,76 @@ def eye(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(mat):
-    """Return (diag, V, Vinv) with mat*V = W*diag for a unimodular W.
+def smith_normal_form(rows, modulus: int):
+    """Smith form of Z^k / (span(rows) + modulus·Z^k) over Z/modulus
+    (Hafner-McCurley, SIAM J. Comput. 20, 1991), for nonempty rows of k.
 
-    diag is the list of diagonal entries d_1 | d_2 | ... (nonnegative,
-    zeros trailing).  V is unimodular and Vinv its inverse, maintained
-    alongside so callers can pull quotient-group generators without a
-    separate inversion.  Row operations reduce the matrix but are not
-    tracked.
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    S = [[int(x) for x in row] for row in mat]
-    V, Vinv = eye(n), eye(n)
+    Returns (diag, V, Vinv): the invariant factors d_1 | ... | d_k of the
+    modulus (the modulus itself where the rows leave a column free), and
+    V, Vinv, inverse mod the modulus, with x -> ((x·V)_j mod d_j)_j an
+    isomorphism onto (+) Z/d_j taking row j of Vinv to the j-th unit
+    vector.  Each pivot is the entry with the least gcd with the modulus;
+    untracked row steps and column steps, both extended-gcd, clear its
+    column and row, every entry reduced mod the modulus."""
+    m = int(modulus)
+    r, k = len(rows), len(rows[0])
+    # the rows above V: column steps act on both, row steps on the rows only
+    A = [[int(x) % m for x in row] for row in [*rows, *eye(k)]]
+    Vinv = [row[:] for row in A[r:]]
 
-    def col_add(j, i, c):  # col j += c * col i ; Vinv row i -= c * row j
-        for r in range(m):
-            S[r][j] += c * S[r][i]
-        for r in range(n):
-            V[r][j] += c * V[r][i]
-        Vinv[i] = [a - c * b for a, b in zip(Vinv[i], Vinv[j])]
+    def row_step(t, i, a, b, c, d):   # rows (t, i) <- (a·t + b·i, c·t + d·i)
+        A[t], A[i] = ([(a * x + b * y) % m for x, y in zip(A[t], A[i])],
+                      [(c * x + d * y) % m for x, y in zip(A[t], A[i])])
 
-    def col_swap(i, j):
-        for r in range(m):
-            S[r][i], S[r][j] = S[r][j], S[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+    def col_step(t, j, a, b, c, d):   # the same on columns; Vinv's rows
+        for row in A:                 # take the inverse step
+            x, y = row[t], row[j]
+            row[t], row[j] = (a * x + b * y) % m, (c * x + d * y) % m
+        det = a * d - b * c           # ±1, its own inverse
+        Vinv[t], Vinv[j] = (
+            [det * (d * x - c * y) % m for x, y in zip(Vinv[t], Vinv[j])],
+            [det * (a * y - b * x) % m for x, y in zip(Vinv[t], Vinv[j])])
 
     t = 0
-    while t < min(m, n):
-        # smallest nonzero entry of the remaining block becomes the pivot
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                a = abs(S[i][j])
-                if a and (best is None or a < best):
-                    best, pivot = a, (i, j)
-        if pivot is None:
+    while t < min(r, k):
+        block = [(gcd(A[i][j], m), i, j) for i in range(t, r)
+                 for j in range(t, k) if A[i][j]]
+        if not block:
             break
-        if pivot != (t, t):
-            S[t], S[pivot[0]] = S[pivot[0]], S[t]
-            col_swap(t, pivot[1])
-        # clear row and column t
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    S[i] = [a - q * b for a, b in zip(S[i], S[t])]
-                    if S[i][t]:
-                        S[t], S[i] = S[i], S[t]
-                        dirty = True
-            for j in range(t + 1, n):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    col_add(j, t, -q)
-                    if S[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-        # pivot must divide the rest of the block, else absorb a bad row
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if S[i][j] % S[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
+        _, i, j = min(block)
+        if i != t:
+            row_step(t, i, 0, 1, 1, 0)
+        if j != t:
+            col_step(t, j, 0, 1, 1, 0)
+        while True:
+            for i in range(t + 1, r):
+                if A[i][t]:
+                    row_step(t, i, *_clearing_step(A[t][t], A[i][t]))
+            for j in range(t + 1, k):
+                if A[t][j]:
+                    col_step(t, j, *_clearing_step(A[t][t], A[t][j]))
+            if any(A[i][t] for i in range(t + 1, r)):
+                continue   # a column step that moved the pivot refilled it
+            # the pivot must divide the rest of the block, else it takes in
+            # a row it does not divide, which the next column step lowers it by
+            g = gcd(A[t][t], m)
+            bad = next((i for i in range(t + 1, r)
+                        if any(x % g for x in A[i][t + 1:])), None)
+            if bad is None:
                 break
-        if bad is not None:
-            S[t] = [a + b for a, b in zip(S[t], S[bad])]
-            continue
+            row_step(t, bad, 1, 1, 0, 1)
         t += 1
+    diag = [gcd(A[i][i], m) for i in range(t)] + [m] * (k - t)
+    return diag, A[r:], Vinv
 
-    # each pivot row is 0 off the diagonal: its sign is a row operation
-    diag = [abs(S[i][i]) for i in range(min(m, n))]
-    return diag, V, Vinv
+
+def _clearing_step(p: int, y: int) -> tuple[int, int, int, int]:
+    """A unimodular (a, b, c, d) with (a·p + b·y, c·p + d·y) = (gcd(p, y), 0),
+    for p > 0; (1, 0, -y/p, 1), which leaves p's line alone, when p | y."""
+    if y % p == 0:
+        return 1, 0, -(y // p), 1
+    h, s, u = _xgcd(p, y)
+    return s, u, y // h, -(p // h)
 
 
 def as_rows(A, dom_moduli, cod_moduli) -> np.ndarray:

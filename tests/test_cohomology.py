@@ -57,6 +57,15 @@ def test_cochain_values_outside_the_ring_refused(bad):
                                f"the ring (0..{nR - 1})")
 
 
+def test_cochain_takes_any_integer_sequence():
+    E1 = fixtures.fixture("E1")
+    f = coh.Cochain(E1, 1, [3, 1, 2])
+    assert f.values.dtype == np.int64 and f.value_tuple() == (3, 1, 2)
+    for bad in ([3.0, 1.0, 2.0], [[3, 1, 2]], "312", 3):
+        with pytest.raises(PreconditionError):
+            coh.Cochain(E1, 1, bad)
+
+
 def test_identity_cochain_and_corner_idem():
     E2 = fixtures.fixture("E2")
     ident = coh.identity_cochain(E2, 2)
@@ -505,15 +514,39 @@ def _assert_distinct_classes(act, grp):
     ("GF(4;x^2+x+1)", "C3", 1, (3,), ("both", "structure")),
     ("GF(4;x^2+x+1)", "C3", 2, (3,), ("both", "structure")),
     ("GF(4;x^2+x+1)", "C3", 3, (3,), ("structure",)),
+    ("GF(5)", "C4*C2", 2, (2, 2, 4), ("structure",)),
 ])
 def test_trivial_action_matches_group_cohomology(ring_tag, group_spec, n,
                                                  want, engines):
     act = _trivial_action(ring_tag, group_spec)
+    listings = {}
     for engine in engines:
         grp = coh.cohomology_group(act, n, engine=engine)
         assert grp.invariant_factors == want
         assert grp.h_order == math.prod(want) > 1
         _assert_distinct_classes(act, grp)
+        listings[engine] = [rep.value_tuple() for rep in grp.representatives]
+    # "both" returns the enumeration engine's group: both engines list the
+    # classes by their value tables, whatever generators the Smith form picks
+    if "both" in listings:
+        assert listings["both"] == listings["structure"]
+
+
+def test_structure_engine_smith_form_sees_only_torsion_columns(monkeypatch):
+    # H^3(C2 x C2, Z/2) = (Z/2)^4 in a C^3 of 64 coordinates: the Smith
+    # form gets at most log2|H| = 4 columns, not B's basis in Z's
+    columns = []
+    smith = intmat.smith_normal_form
+
+    def spy(*args):
+        columns.append(len(args[0][0]))
+        return smith(*args)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", spy)
+    grp = coh.cohomology_group(_trivial_action("GF(3)", "C2*C2"), 3,
+                               engine="structure")
+    assert grp.invariant_factors == (2, 2, 2, 2)
+    assert columns and max(columns) <= math.floor(math.log2(grp.h_order))
 
 
 def test_trivial_c2_cubed_h2_is_fast():
@@ -675,5 +708,28 @@ def test_normalize_all_z2_cocycles_e2():
     for table in coh._kernel_dfs(act, 2):
         f = coh.Cochain(act, 2, np.array(table, dtype=np.int64))
         tilde, eps = coh.normalize_2cocycle(act, f)
+        assert coh.is_cocycle(act, tilde)
+        assert coh.cochain_mul(tilde, coh.coboundary(act, eps)) == f
+
+
+@pytest.mark.parametrize("name", ["E0", "E1", "E2", "N1"])
+def test_normalize_2cocycle_needs_no_scan(name, monkeypatch):
+    # the closed form eps(g) = f(g,1) normalizes every cocycle, each here
+    # twisted by a random coboundary, without a scan of C^1
+    act = fixtures.fixture(name)
+    G = act.group
+    rng = random.Random(21)
+
+    def no_scan(*args):
+        raise AssertionError("normalize_2cocycle scanned C^1")
+
+    monkeypatch.setattr(coh, "_enumerate_cochains", no_scan)
+    for table in coh._kernel_dfs(act, 2):
+        f = coh.cochain_mul(coh.Cochain(act, 2, table), coh.coboundary(
+            act, _random_cochain(act, 1, rng)))
+        tilde, eps = coh.normalize_2cocycle(act, f)
+        for g in range(G.order):
+            for gs in ((G.identity, g), (g, G.identity)):
+                assert tilde[gs] == coh.corner_idem(act, gs)
         assert coh.is_cocycle(act, tilde)
         assert coh.cochain_mul(tilde, coh.coboundary(act, eps)) == f

@@ -25,35 +25,75 @@ small_mats = st.integers(1, 5).flatmap(
             min_size=m, max_size=m)))
 
 
-@given(small_mats)
-def test_snf_factorisation_and_divisibility(rows):
-    n = len(rows[0])
-    diag, V, Vinv = intmat.smith_normal_form(rows)
-    # mat*V = W*diag with W unimodular: every row of mat*V lies in the
-    # row lattice of diag, so column j is a multiple of d_j, and 0 past
-    # the rank; and the rows span all of that lattice
-    MV = _mat_mul(rows, V)
-    for row in MV:
-        for j, x in enumerate(row):
-            d = diag[j] if j < len(diag) else 0
-            assert (x % d == 0) if d else x == 0
-    assert PlainRowLattice(n, MV).basis() == [
-        [d if k == j else 0 for k in range(n)] for j, d in enumerate(diag) if d]
-    for i in range(len(diag) - 1):
-        if diag[i]:
-            assert diag[i + 1] % diag[i] == 0
-        else:
-            assert diag[i + 1] == 0
-    assert all(d >= 0 for d in diag)
-    # V * Vinv = I
-    J = _mat_mul(V, Vinv)
-    assert J == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    # invariant factors match sympy's
-    ours = sorted(d for d in diag if d > 1)
-    sm = sympy_snf(_as_sympy(rows))
-    theirs = sorted(abs(int(d)) for d in sm.diagonal()
-                    if abs(int(d)) not in (0, 1))
-    assert theirs == ours
+@given(small_mats, st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 30, 36, 64]))
+def test_snf_factorisation_and_divisibility(rows, modulus):
+    k = len(rows[0])
+    diag, V, Vinv = intmat.smith_normal_form(rows, modulus)
+    # the invariant factors of Z^k / (span(rows) + modulus·Z^k), in order
+    stacked = rows + [[modulus if j == i else 0 for j in range(k)]
+                      for i in range(k)]
+    assert diag == [abs(int(d)) for d in sympy_snf(_as_sympy(stacked)).diagonal()]
+    # V and Vinv are reduced and inverse to each other mod the modulus
+    assert all(0 <= x < modulus for row in V + Vinv for x in row)
+    assert [[x % modulus for x in row] for row in _mat_mul(V, Vinv)] == [
+        [int(i == j) % modulus for j in range(k)] for i in range(k)]
+    # every relation maps to 0 in (+) Z/d_j under x -> x·V
+    for row in _mat_mul(rows, V):
+        assert all(x % d == 0 for x, d in zip(row, diag))
+
+
+def _exact_smith_transform(mat):
+    """Oracle: the column transform V of an exact Smith form mat·V =
+    W·diag over Z, W unimodular, by the smallest nonzero entry of the
+    remaining block as pivot, on unreduced ints; returns (diag, V)."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    S = [[int(x) for x in row] for row in mat]
+    V = intmat.eye(n)
+
+    def col_add(j, i, c):  # col j += c * col i
+        for M in (S, V):
+            for row in M:
+                row[j] += c * row[i]
+
+    def col_swap(i, j):
+        for M in (S, V):
+            for row in M:
+                row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(m, n):
+        cells = [(abs(S[i][j]), i, j) for i in range(t, m)
+                 for j in range(t, n) if S[i][j]]
+        if not cells:
+            break
+        _, pi, pj = min(cells)
+        S[t], S[pi] = S[pi], S[t]
+        col_swap(t, pj)
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, m):
+                if S[i][t]:
+                    q = S[i][t] // S[t][t]
+                    S[i] = [a - q * b for a, b in zip(S[i], S[t])]
+                    if S[i][t]:
+                        S[t], S[i] = S[i], S[t]
+                        dirty = True
+            for j in range(t + 1, n):
+                if S[t][j]:
+                    col_add(j, t, -(S[t][j] // S[t][t]))
+                    if S[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+        # the pivot must divide the rest of the block, else absorb a bad row
+        bad = next((i for i in range(t + 1, m)
+                    if any(x % S[t][t] for x in S[i][t + 1:])), None)
+        if bad is not None:
+            S[t] = [a + b for a, b in zip(S[t], S[bad])]
+            continue
+        t += 1
+    return [abs(S[i][i]) for i in range(min(m, n))], V
 
 
 class PlainRowLattice:
@@ -138,7 +178,7 @@ def _snf_kernel_lattice(A, dom_moduli, cod_moduli):
         return _plain_with_moduli(dom_moduli, intmat.eye(kd))
     stacked = [list(r) for r in A] + [
         [e if j == i else 0 for j in range(kc)] for i, e in enumerate(cod_moduli)]
-    diag, V, _ = intmat.smith_normal_form([list(c) for c in zip(*stacked)])
+    diag, V = _exact_smith_transform([list(c) for c in zip(*stacked)])
     rank = sum(1 for x in diag if x)
     return _plain_with_moduli(dom_moduli, (
         [V[r][j] for r in range(kd)] for j in range(rank, kd + kc)))
@@ -262,11 +302,13 @@ def test_row_lattice_full_integer_lattice():
     assert intmat.RowLattice([1, 1]).basis() == [[1, 0], [0, 1]]
 
 
-@pytest.mark.parametrize("rows,want", [
-    ([[2, 4], [6, 8]], [2, 4]),
-    ([[1, 0], [0, 1]], [1, 1]),
-    ([[0, 0], [0, 0]], [0, 0]),
+@pytest.mark.parametrize("rows,modulus,want", [
+    ([[2, 4], [6, 8]], 16, [2, 4]),
+    ([[1, 0], [0, 1]], 5, [1, 1]),
+    ([[0, 0], [0, 0]], 6, [6, 6]),
+    ([[4, 6]], 8, [2, 8]),
+    ([[5, 7]], 1, [1, 1]),
 ])
-def test_snf_small_cases(rows, want):
-    diag, *_ = intmat.smith_normal_form(rows)
+def test_snf_small_cases(rows, modulus, want):
+    diag, *_ = intmat.smith_normal_form(rows, modulus)
     assert diag == want
